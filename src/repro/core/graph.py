@@ -55,14 +55,11 @@ class CSR:
         idx = np.asarray(idx, dtype=np.int64)
         starts = self.indptr[idx]
         counts = self.indptr[idx + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        row = np.repeat(np.arange(idx.shape[0], dtype=np.int64), counts)
-        # Offsets within each run: arange(total) - run starts, shifted.
-        run_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-        flat = np.repeat(starts, counts) + offsets
+        row = np.arange(idx.shape[0], dtype=np.int64).repeat(counts)
+        # Output edge k is edge k - run_start of its run, and the runs
+        # start at the exclusive prefix sums of ``counts``.
+        shift = starts - counts.cumsum() + counts
+        flat = np.arange(row.shape[0], dtype=np.int64) + shift[row]
         return row, self.indices[flat]
 
     @staticmethod
@@ -186,39 +183,32 @@ def scan_chunk_to_parts(
     sequential and multiprocess backends.
     """
     scan = game.scan_chunk(db_id, start, stop)
-    n = stop - start
-    best_exit = np.full(n, NO_EXIT, dtype=np.int16)
-    out_degree = np.zeros(n, dtype=np.int32)
-    moves_generated = int(scan.legal.sum())
-    exit_lookups = 0
     # Terminal rule: an immediate, exact exit value.
-    term = scan.terminal
-    best_exit[term] = scan.terminal_value[term]
-    # Capturing moves: exits into smaller databases.
+    best_exit = np.where(scan.terminal, scan.terminal_value, NO_EXIT).astype(np.int16)
+    # Capturing moves: exits into smaller databases, one value per move.
     cap_mask = scan.legal & (scan.capture > 0)
-    if cap_mask.any():
-        r, c = np.nonzero(cap_mask)
-        caps = scan.capture[r, c]
-        succ = scan.succ_index[r, c]
-        vals = np.empty(r.shape[0], dtype=np.int64)
-        for amount in np.unique(caps):
+    caps = scan.capture[cap_mask]
+    if caps.size:
+        succ = scan.succ_index[cap_mask]
+        vals = np.empty(caps.shape[0], dtype=np.int16)
+        for amount in np.flatnonzero(np.bincount(caps)):
             m = caps == amount
             target = game.exit_db(db_id, int(amount))
-            vals[m] = amount - lower_values[target][succ[m]].astype(np.int64)
-        exit_lookups = int(r.shape[0])
-        np.maximum.at(best_exit, r, vals.astype(np.int16))
+            vals[m] = amount - lower_values[target][succ[m]]
+        exits = np.full(cap_mask.shape, NO_EXIT, dtype=np.int16)
+        exits[cap_mask] = vals
+        np.maximum(best_exit, exits.max(axis=1), out=best_exit)
     # Internal (non-capturing) moves.
     int_mask = scan.legal & (scan.capture == 0)
     r, c = np.nonzero(int_mask)
-    np.add.at(out_degree, r, 1)
     return ChunkParts(
         start=start,
         best_exit=best_exit,
-        out_degree=out_degree,
+        out_degree=int_mask.sum(axis=1, dtype=np.int32),
         src=r.astype(np.int64) + start,
         dst=scan.succ_index[r, c],
-        moves_generated=moves_generated,
-        exit_lookups=exit_lookups,
+        moves_generated=int(scan.legal.sum()),
+        exit_lookups=int(caps.shape[0]),
     )
 
 

@@ -127,6 +127,8 @@ def solve_kernel(problem: RAProblem, record_rounds: bool = False) -> RAResult:
     status = problem.status
     counts = problem.counts
     depth = np.full(problem.size, -1, dtype=np.int32)
+    # stamp[p] = where p was last seen in the current round's parent list.
+    stamp = np.empty(problem.size, dtype=np.int64)
     frontier = np.flatnonzero(status != UNKNOWN)
     depth[frontier] = 0
     finalized = int(frontier.shape[0])
@@ -140,19 +142,26 @@ def solve_kernel(problem: RAProblem, record_rounds: bool = False) -> RAResult:
         notifications += int(parents.shape[0])
         if parents.size == 0:
             break
-        child_status = status[frontier[child_row]]
+        loss_children = (status[frontier] == LOSS)[child_row]
 
-        # Moves into LOSS children let the parent win.
-        loss_children = child_status == LOSS
-        win_parents = parents[loss_children]
-        new_win = np.unique(win_parents[status[win_parents] == UNKNOWN])
+        # Moves into LOSS children let the parent win.  A parent notified
+        # twice keeps only the occurrence whose position its stamp holds.
+        new_win = parents[loss_children]
+        new_win = new_win[status[new_win] == UNKNOWN]
+        seen_at = np.arange(new_win.shape[0])
+        stamp[new_win] = seen_at
+        new_win = new_win[stamp[new_win] == seen_at]
         status[new_win] = WIN
 
-        # Moves into WIN children burn one escape option of the parent.
-        win_children = child_status == WIN
-        dec_parents = parents[win_children]
-        np.subtract.at(counts, dec_parents, 1)
-        zeroed = np.unique(dec_parents)
+        # Every other child is a WIN and burns one escape option of its
+        # parent: sorted, each parent is one run as long as its decrement.
+        dec_parents = parents[~loss_children]
+        dec_parents.sort()
+        is_bound = np.ones(dec_parents.shape[0] + 1, dtype=bool)
+        np.not_equal(dec_parents[1:], dec_parents[:-1], out=is_bound[1:-1])
+        bounds = is_bound.nonzero()[0]
+        zeroed = dec_parents[bounds[:-1]]
+        counts[zeroed] -= bounds[1:] - bounds[:-1]
         new_loss = zeroed[
             (counts[zeroed] == 0)
             & (status[zeroed] == UNKNOWN)

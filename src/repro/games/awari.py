@@ -43,8 +43,14 @@ __all__ = ["GrandSlam", "AwariRules", "AwariGame", "MoveOutcome"]
 
 N_PITS = 12
 N_MOVE_SLOTS = 6  # the mover can only sow from pits 0..5
+_LAP = N_PITS - 1  # stones in one full lap: the origin pit is skipped
 _MOVER = slice(0, 6)
 _OPP = slice(6, 12)
+#: _DIST[j, i] = (j - i) mod 12: how many stones a sowing from pit ``i``
+#: needs to reach pit ``j`` for the first time.
+_DIST = ((np.arange(N_PITS)[:, None] - np.arange(N_PITS)[None, :]) % N_PITS).astype(
+    np.int16
+)
 
 
 class GrandSlam(enum.Enum):
@@ -90,17 +96,37 @@ def _swap_sides(boards: np.ndarray) -> np.ndarray:
     return np.concatenate([boards[:, _OPP], boards[:, _MOVER]], axis=1)
 
 
+def _pit_major(boards: np.ndarray) -> np.ndarray:
+    """``(N, 12)`` boards as a contiguous ``(12, N)`` int16 array."""
+    boards = np.asarray(boards, dtype=np.int16)
+    if boards.ndim != 2 or boards.shape[1] != N_PITS:
+        raise ValueError(f"boards must be (N, {N_PITS}), got {boards.shape}")
+    return np.ascontiguousarray(boards.T)
+
+
+def _slot_per_board(pits: np.ndarray, n: int) -> np.ndarray:
+    """``pits`` broadcast to one validated move slot for each of ``n`` boards."""
+    pits = np.broadcast_to(np.asarray(pits, dtype=np.int64), (n,))
+    if ((pits < 0) | (pits >= N_MOVE_SLOTS)).any():
+        raise ValueError("move pits must be in 0..5")
+    return pits
+
+
 class AwariGame:
-    """Vectorized awari move/unmove generation and terminal evaluation."""
+    """Vectorized awari move/unmove generation and terminal evaluation.
+
+    The rules are implemented once, by :meth:`sow_from` and
+    :meth:`move_from`, on *pit-major* ``(12, N)`` boards: with one pit
+    for the whole batch (the database scan) every step is an operation
+    on contiguous length-``N`` vectors.  The row-major methods transpose
+    and delegate.
+    """
 
     name = "awari"
 
     def __init__(self, rules: AwariRules | None = None):
         self.rules = rules or AwariRules()
         self._indexers: dict[int, AwariIndexer] = {}
-        # delta[i, j] = (j - i) mod 12, used to compute sowing increments.
-        j = np.arange(N_PITS)
-        self._delta = (j[None, :] - j[:, None]) % N_PITS
 
     # ------------------------------------------------------------- indexing
 
@@ -111,100 +137,92 @@ class AwariGame:
             idx = self._indexers[n_stones] = AwariIndexer(n_stones)
         return idx
 
-    # ----------------------------------------------------------------- sow
+    # ------------------------------------------------------ pit-major rules
 
-    def sow(self, boards: np.ndarray, pits: np.ndarray):
-        """Sow from ``pits`` without evaluating captures or legality.
+    def sow_from(self, boards: np.ndarray, pit):
+        """Sow every pit-major ``(12, N)`` int16 board from ``pit`` — one
+        pit for all boards, or an ``(N,)`` array with a pit per board.
 
-        Returns ``(sown_boards, last_pit, stones)`` where ``last_pit`` is
-        the pit receiving the final stone (undefined where ``stones == 0``).
+        Returns ``(sown, last_pit, stones)`` where ``last_pit`` is the pit
+        receiving the final stone (undefined where ``stones == 0``).
+        Captures and legality are not evaluated.
         """
-        boards = np.asarray(boards, dtype=np.int16)
-        pits = np.asarray(pits, dtype=np.int64)
-        rows = np.arange(boards.shape[0])
-        stones = boards[rows, pits].astype(np.int64)
-        q, r = np.divmod(stones, N_PITS - 1)
-        delta = self._delta[pits]  # (N, 12): distance of each pit after origin
-        inc = q[:, None] + ((delta >= 1) & (delta <= r[:, None]))
-        inc[delta == 0] = 0  # the origin pit is skipped on every lap
-        sown = boards + inc.astype(np.int16)
-        sown[rows, pits] = 0
-        last_delta = np.where(r > 0, r, N_PITS - 1)
-        last_pit = (pits + last_delta) % N_PITS
+        # A single pit indexes one contiguous row; a pit per board, the
+        # matching entry of each column.
+        origin = (pit, np.arange(boards.shape[1])) if np.ndim(pit) else pit
+        stones = boards[origin]
+        q, r = np.divmod(stones, _LAP)
+        sown = boards + q + (r >= _DIST[:, np.atleast_1d(pit)])
+        sown[origin] = 0  # the origin pit is skipped on every lap
+        last_pit = (pit + np.where(r > 0, r, _LAP)) % N_PITS
         return sown, last_pit, stones
 
-    # -------------------------------------------------------------- moves
-
-    def apply_move(self, boards: np.ndarray, pits: np.ndarray) -> MoveOutcome:
-        """Apply move slot ``pits`` (0..5) to each board in the batch.
+    def move_from(self, boards: np.ndarray, pit):
+        """Play ``pit`` (0..5; one for all boards or one per board) on
+        every pit-major ``(12, N)`` int16 board.
 
         Handles sowing, capture chains, the grand-slam variant and the
-        feeding rule.  Successors are returned side-swapped so that the
-        new mover again owns pits 0-5.
+        feeding rule.  Returns ``(legal, captured, successors)``;
+        successors are pit-major and side-swapped so that the new mover
+        again owns pits 0-5, and like ``captured`` are undefined where
+        not ``legal``.
         """
-        boards = np.asarray(boards, dtype=np.int16)
-        if boards.ndim != 2 or boards.shape[1] != N_PITS:
-            raise ValueError(f"boards must be (N, {N_PITS}), got {boards.shape}")
-        pits = np.broadcast_to(np.asarray(pits, dtype=np.int64), boards.shape[:1]).copy()
-        if pits.size and ((pits < 0) | (pits >= N_MOVE_SLOTS)).any():
-            raise ValueError("move pits must be in 0..5")
-        n = boards.shape[0]
-        rows = np.arange(n)
-
-        sown, last_pit, stones = self.sow(boards, pits)
+        sown, last_pit, stones = self.sow_from(boards, pit)
+        opp = sown[_OPP]
+        opp_total = opp.sum(axis=0, dtype=np.int16)
         legal = stones > 0
-
-        # Feeding rule: when the opponent side is empty the move must reach it.
         if self.rules.must_feed:
-            opp_empty = boards[:, _OPP].sum(axis=1) == 0
-            feeds = sown[:, _OPP].sum(axis=1) > 0
-            # Only restrict when *some* legal feeding move exists; the caller
-            # (legal_moves) handles the "no feeding move at all" terminal case
-            # by consulting has_any_feeding_move first.
-            legal &= ~opp_empty | feeds
+            # Sowing only ever adds to the opponent's side, so "the
+            # opponent was starved and this move does not feed them" is
+            # just an empty opponent side after sowing.  A position where
+            # that rules out every move is terminal.
+            legal &= opp_total > 0
 
-        # Capture chain: walk backwards from last_pit through opponent pits
-        # holding 2 or 3 stones.  At most 6 steps.
-        chain = np.zeros((n, N_PITS), dtype=bool)
-        cur = last_pit.copy()
-        active = legal & (cur >= 6)
-        for _ in range(6):
-            cnt = sown[rows, cur]
-            active = active & ((cnt == 2) | (cnt == 3))
-            if not active.any():
-                break
-            chain[rows[active], cur[active]] = True
-            cur = cur - 1
-            active = active & (cur >= 6)
+        # Capture chain: the last pit and the unbroken run of opponent
+        # pits before it, all holding 2 or 3 stones.
+        chain = (opp | 1) == 3
+        run = False
+        for k in range(5, -1, -1):
+            chain[k] &= (last_pit == k + 6) | run
+            run = chain[k]
+        captured = np.where(chain, opp, 0).sum(axis=0, dtype=np.int16)
 
-        cap = np.where(chain, sown, 0).sum(axis=1).astype(np.int64)
-        opp_total = sown[:, _OPP].sum(axis=1)
-        slam = legal & (cap > 0) & (cap == opp_total)
+        if self.rules.grand_slam is not GrandSlam.ALLOWED:
+            slam = (captured > 0) & (captured == opp_total)
+            if self.rules.grand_slam is GrandSlam.FORBIDDEN:
+                legal &= ~slam
+            else:  # CAPTURE_NOTHING: the move stands, the stones stay
+                chain &= ~slam
+                captured[slam] = 0
+        successors = np.concatenate([np.where(chain, 0, opp), sown[_MOVER]])
+        return legal, captured, successors
 
-        if self.rules.grand_slam is GrandSlam.CAPTURE_NOTHING:
-            chain[slam] = False
-            cap[slam] = 0
-        elif self.rules.grand_slam is GrandSlam.FORBIDDEN:
-            legal &= ~slam
-        # GrandSlam.ALLOWED: keep the capture as computed.
+    # ------------------------------------------------------ row-major views
 
-        result = np.where(chain, 0, sown)
-        return MoveOutcome(legal=legal, captured=cap, boards=_swap_sides(result))
+    def sow(self, boards: np.ndarray, pits: np.ndarray):
+        """Row-major :meth:`sow_from`: ``boards`` is ``(N, 12)`` and
+        ``pits`` gives the origin pit of each row."""
+        bt = _pit_major(boards)
+        sown, last_pit, stones = self.sow_from(bt, _slot_per_board(pits, bt.shape[1]))
+        return np.ascontiguousarray(sown.T), last_pit, stones
+
+    def apply_move(self, boards: np.ndarray, pits: np.ndarray) -> MoveOutcome:
+        """Row-major :meth:`move_from`: apply move slot ``pits[i]`` (0..5)
+        to row ``i`` of the ``(N, 12)`` batch."""
+        bt = _pit_major(boards)
+        legal, captured, successors = self.move_from(
+            bt, _slot_per_board(pits, bt.shape[1])
+        )
+        return MoveOutcome(
+            legal=legal, captured=captured, boards=np.ascontiguousarray(successors.T)
+        )
 
     def legal_moves(self, boards: np.ndarray) -> np.ndarray:
         """Return an ``(N, 6)`` legality mask for every move slot."""
-        boards = np.asarray(boards, dtype=np.int16)
-        masks = [
-            self.apply_move(boards, np.full(boards.shape[0], p)).legal
-            for p in range(N_MOVE_SLOTS)
-        ]
-        mask = np.stack(masks, axis=1)
-        if self.rules.must_feed:
-            # If the opponent is starved and no move feeds, the position is
-            # terminal; apply_move already removed non-feeding moves, so the
-            # row is all-False there, which is exactly the terminal signal.
-            pass
-        return mask
+        bt = _pit_major(boards)
+        return np.stack(
+            [self.move_from(bt, pit)[0] for pit in range(N_MOVE_SLOTS)], axis=1
+        )
 
     # ------------------------------------------------------------ terminal
 
@@ -242,52 +260,40 @@ class AwariGame:
         Returns ``(child_row, pred_boards)`` where ``pred_boards[k]`` is a
         predecessor of ``boards[child_row[k]]``.
         """
-        boards = np.asarray(boards, dtype=np.int16)
-        n = boards.shape[0]
-        if n == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros((0, N_PITS), dtype=np.int16),
-            )
+        child = _pit_major(boards)
         # Undo the side swap: view the child from the previous mover's side.
-        pre = _swap_sides(boards)
+        pre = np.concatenate([child[_OPP], child[_MOVER]])
         out_rows, out_boards = [], []
         for pit in range(N_MOVE_SLOTS):
             # The origin pit receives nothing and is emptied, and a
             # non-capturing move leaves opponent pits untouched, so the
             # origin must be empty in the unswapped child.
-            cand = np.flatnonzero(pre[:, pit] == 0)
+            cand = np.flatnonzero(pre[pit] == 0)
             if cand.size == 0:
                 continue
-            base = pre[cand]
+            base = pre[:, cand]
             for s in range(1, max_stones + 1):
-                q, r = divmod(s, N_PITS - 1)
-                delta = self._delta[pit]
-                inc = (q + ((delta >= 1) & (delta <= r))).astype(np.int16)
-                parent = base - inc[None, :]
-                parent[:, pit] = s
-                ok = (parent >= 0).all(axis=1)
+                q, r = divmod(s, _LAP)
+                parent = base - (q + (r >= _DIST[:, pit, None])).astype(np.int16)
+                parent[pit] = s
+                ok = (parent >= 0).all(axis=0)
                 if not ok.any():
                     continue
                 rows = cand[ok]
-                pboards = parent[ok]
+                parent = parent[:, ok]
                 # Forward verification: the move must be legal, capture
                 # nothing, and reproduce the child exactly.
-                outcome = self.apply_move(pboards, np.full(rows.size, pit))
-                good = (
-                    outcome.legal
-                    & (outcome.captured == 0)
-                    & (outcome.boards == boards[rows]).all(axis=1)
-                )
+                legal, captured, succ = self.move_from(parent, pit)
+                good = legal & (captured == 0) & (succ == child[:, rows]).all(axis=0)
                 if good.any():
                     out_rows.append(rows[good])
-                    out_boards.append(pboards[good])
+                    out_boards.append(parent[:, good])
         if not out_rows:
             return (
                 np.zeros(0, dtype=np.int64),
                 np.zeros((0, N_PITS), dtype=np.int16),
             )
-        return np.concatenate(out_rows), np.concatenate(out_boards, axis=0)
+        return np.concatenate(out_rows), np.concatenate(out_boards, axis=1).T
 
     # ------------------------------------------------------------- helpers
 

@@ -7,24 +7,25 @@ stones, so databases n-2, n-3, ..., 0 — never n-1).
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
 from .awari import N_MOVE_SLOTS, AwariGame, AwariRules
+from .awari_index import rank_pit_major
 from .base import CaptureGame, ChunkScan
 
-__all__ = ["AwariCaptureGame"]
+__all__ = ["SowingCaptureGame", "AwariCaptureGame"]
 
 
-class AwariCaptureGame(CaptureGame):
-    """Batch scan/unmove interface over :class:`AwariGame`."""
+class SowingCaptureGame(CaptureGame):
+    """A 12-pit sowing game stratified by stone count.
 
-    def __init__(self, rules: AwariRules | None = None):
-        self.engine = AwariGame(rules)
-        self.name = "awari"
-
-    @property
-    def rules(self) -> AwariRules:
-        return self.engine.rules
+    Everything but the rules themselves: subclasses provide
+    :meth:`terminal_value` and ``engine``, whose ``indexer``,
+    ``noncapture_predecessors`` and pit-major ``move_from`` follow
+    :class:`AwariGame`.
+    """
 
     # ---------------------------------------------------------- structure
 
@@ -44,11 +45,16 @@ class AwariCaptureGame(CaptureGame):
             raise ValueError(f"invalid capture {capture} from {db_id}-stone db")
         return db_id - capture
 
+    # -------------------------------------------------------------- rules
+
+    @abc.abstractmethod
+    def terminal_value(self, boards: np.ndarray, db_id: int) -> np.ndarray:
+        """Value to the mover of each pit-major board, were it terminal."""
+
     # --------------------------------------------------------------- scan
 
     def scan_chunk(self, db_id: int, start: int, stop: int) -> ChunkScan:
-        indexer = self.engine.indexer(db_id)
-        if not (0 <= start <= stop <= indexer.count):
+        if not (0 <= start <= stop <= self.db_size(db_id)):
             raise ValueError(f"bad chunk [{start}, {stop}) for db {db_id}")
         return self.scan_positions(
             db_id, np.arange(start, stop, dtype=np.int64), start=start
@@ -59,36 +65,23 @@ class AwariCaptureGame(CaptureGame):
     ) -> ChunkScan:
         """Scan an arbitrary batch of position indices (used by workers
         owning non-contiguous partitions)."""
-        indexer = self.engine.indexer(db_id)
         idx = np.asarray(idx, dtype=np.int64)
-        boards = indexer.unrank(idx)
+        boards = self.engine.indexer(db_id).unrank_pit_major(idx)
         n = idx.shape[0]
-        legal = np.zeros((n, N_MOVE_SLOTS), dtype=bool)
-        capture = np.zeros((n, N_MOVE_SLOTS), dtype=np.int64)
-        succ = np.zeros((n, N_MOVE_SLOTS), dtype=np.int64)
+        legal = np.empty((n, N_MOVE_SLOTS), dtype=bool)
+        capture = np.empty((n, N_MOVE_SLOTS), dtype=np.int64)
+        succ = np.empty((n, N_MOVE_SLOTS), dtype=np.int64)
         for pit in range(N_MOVE_SLOTS):
-            outcome = self.engine.apply_move(boards, np.full(n, pit))
-            legal[:, pit] = outcome.legal
-            ok = outcome.legal
-            if not ok.any():
-                continue
-            caps = outcome.captured[ok]
-            capture[ok, pit] = caps
-            sub = outcome.boards[ok]
-            # Rank successors per destination database (n - captured).
-            col = np.zeros(ok.sum(), dtype=np.int64)
-            for c in np.unique(caps):
-                m = caps == c
-                col[m] = self.engine.indexer(db_id - int(c)).rank(sub[m])
-            succ[ok, pit] = col
-        # Mover's remaining stones minus the opponent's: the starvation rule.
-        mover = boards[:, :6].sum(axis=1).astype(np.int64)
-        terminal = ~legal.any(axis=1)
-        terminal_value = mover - (db_id - mover)
+            ok, captured, successors = self.engine.move_from(boards, pit)
+            legal[:, pit] = ok
+            capture[:, pit] = np.where(ok, captured, 0)
+            # A board's rank does not depend on its stone count, so one
+            # pass ranks the successors of every destination database.
+            succ[:, pit] = np.where(ok, rank_pit_major(successors), 0)
         return ChunkScan(
             start=start,
-            terminal=terminal,
-            terminal_value=terminal_value,
+            terminal=~legal.any(axis=1),
+            terminal_value=self.terminal_value(boards, db_id),
             legal=legal,
             capture=capture,
             succ_index=succ,
@@ -103,6 +96,21 @@ class AwariCaptureGame(CaptureGame):
         child_row, pred_boards = self.engine.noncapture_predecessors(
             boards, max_stones=db_id
         )
-        if child_row.size == 0:
-            return child_row, np.zeros(0, dtype=np.int64)
         return child_row, indexer.rank(pred_boards)
+
+
+class AwariCaptureGame(SowingCaptureGame):
+    """Batch scan/unmove interface over :class:`AwariGame`."""
+
+    def __init__(self, rules: AwariRules | None = None):
+        self.engine = AwariGame(rules)
+        self.name = "awari"
+
+    @property
+    def rules(self) -> AwariRules:
+        return self.engine.rules
+
+    def terminal_value(self, boards: np.ndarray, db_id: int) -> np.ndarray:
+        # Starvation rule: each side keeps the stones on its own side.
+        mover = boards[:6].sum(axis=0)
+        return mover - (db_id - mover)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["binomial_table", "AwariIndexer"]
+__all__ = ["binomial_table", "rank_pit_major", "AwariIndexer"]
 
 
 def binomial_table(max_n: int, max_k: int) -> np.ndarray:
@@ -33,9 +33,31 @@ def binomial_table(max_n: int, max_k: int) -> np.ndarray:
     table = np.zeros((max_n + 1, max_k + 1), dtype=np.int64)
     table[:, 0] = 1
     for n in range(1, max_n + 1):
-        # Pascal's rule, computed row by row (cheap: done once per indexer).
+        # Pascal's rule, computed row by row.
         table[n, 1:] = table[n - 1, 1:] + table[n - 1, : max_k]
     return table
+
+
+#: Every C(n, k) with n <= 66 fits in int64; C(67, 33) does not.
+_MAX_N = 66
+#: The one binomial table behind every rank/unrank, k-major so that each
+#: column ``C(., k)`` is contiguous: ``_CHOOSE[k, n] = C(n, k)``.
+_CHOOSE = np.ascontiguousarray(binomial_table(_MAX_N, _MAX_N).T)
+
+
+def rank_pit_major(boards: np.ndarray) -> np.ndarray:
+    """Colex rank of pit-major boards ``(n_pits, N)``.
+
+    The rank ``sum_j C(b_j, j + 1)`` reads only the dividers, never the
+    stone count, so boards of different databases rank in one pass.
+    """
+    ranks = np.zeros(boards.shape[1], dtype=np.int64)
+    prefix = np.zeros_like(boards[0])
+    for j in range(boards.shape[0] - 1):
+        prefix += boards[j]
+        # b_j = prefix + j, so column j + 1 is read from row j onwards.
+        ranks += _CHOOSE[j + 1, j:].take(prefix)
+    return ranks
 
 
 class AwariIndexer:
@@ -57,10 +79,13 @@ class AwariIndexer:
             raise ValueError(f"n_pits must be >= 1, got {n_pits}")
         self.n_stones = int(n_stones)
         self.n_pits = int(n_pits)
+        if self.n_stones + self.n_pits - 1 > _MAX_N:
+            raise ValueError(
+                f"{n_stones} stones in {n_pits} pits: indices overflow int64"
+            )
         self._ndiv = self.n_pits - 1  # number of dividers b_0..b_{ndiv-1}
-        self._binom = binomial_table(self.n_stones + self.n_pits, self.n_pits)
         #: Number of positions in the database: C(n + pits - 1, pits - 1).
-        self.count = int(self._binom[self.n_stones + self.n_pits - 1, self.n_pits - 1])
+        self.count = int(_CHOOSE[self._ndiv, self.n_stones + self._ndiv])
 
     # ------------------------------------------------------------------ rank
 
@@ -78,48 +103,39 @@ class AwariIndexer:
             raise ValueError(
                 f"expected boards with {self.n_pits} pits, got shape {boards.shape}"
             )
-        if self._ndiv == 0:
-            out = np.zeros(boards.shape[0], dtype=np.int64)
-            return out[0] if squeeze else out
-        prefix = np.cumsum(boards[:, : self._ndiv], axis=1, dtype=np.int64)
-        dividers = prefix + np.arange(self._ndiv, dtype=np.int64)
-        # rank = sum_j C(b_j, j + 1); gather from the precomputed table.
-        ks = np.arange(1, self._ndiv + 1, dtype=np.int64)
-        ranks = self._binom[dividers, ks].sum(axis=1)
+        ranks = rank_pit_major(boards.T)
         return ranks[0] if squeeze else ranks
 
     # ---------------------------------------------------------------- unrank
 
     def unrank(self, indices: np.ndarray) -> np.ndarray:
         """Map indices ``(N,)`` back to boards ``(N, n_pits)`` (int16)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        squeeze = indices.ndim == 0
-        idx = np.atleast_1d(indices).copy()
+        squeeze = np.ndim(indices) == 0
+        boards = np.ascontiguousarray(self.unrank_pit_major(indices).T)
+        return boards[0] if squeeze else boards
+
+    def unrank_pit_major(self, indices: np.ndarray) -> np.ndarray:
+        """Map indices ``(N,)`` to pit-major boards ``(n_pits, N)`` (int16)."""
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64)).copy()
         if idx.size and (idx.min() < 0 or idx.max() >= self.count):
             raise ValueError(
                 f"index out of range [0, {self.count}) for n={self.n_stones}"
             )
-        n = idx.shape[0]
-        boards = np.zeros((n, self.n_pits), dtype=np.int16)
-        if self._ndiv == 0:
-            boards[:, 0] = self.n_stones
-            return boards[0] if squeeze else boards
-        dividers = np.zeros((n, self._ndiv), dtype=np.int64)
+        boards = np.empty((self.n_pits, idx.shape[0]), dtype=np.int16)
         # Recover dividers from the highest down: b_j is the largest value
         # with C(b_j, j + 1) <= remaining rank.  searchsorted on the (sorted)
-        # column C(., j + 1) finds it in O(log table) per element.
+        # column C(., j + 1) finds it in O(log table) per element.  Pit
+        # j + 1 holds a_{j+1} = b_{j+1} - b_j - 1 stones, with the virtual
+        # divider b_ndiv = n_stones + ndiv closing the last pit; a_0 = b_0.
+        upper = self.n_stones + self._ndiv
         for j in range(self._ndiv - 1, -1, -1):
-            col = self._binom[:, j + 1]
+            col = _CHOOSE[j + 1]
             b = np.searchsorted(col, idx, side="right") - 1
-            dividers[:, j] = b
+            boards[j + 1] = upper - b - 1
             idx -= col[b]
-        # a_0 = b_0; a_j = b_j - b_{j-1} - 1; a_last = n - sum(prefix).
-        boards[:, 0] = dividers[:, 0]
-        boards[:, 1 : self._ndiv] = np.diff(dividers, axis=1) - 1
-        boards[:, self._ndiv] = self.n_stones - (
-            dividers[:, -1] - (self._ndiv - 1)
-        )
-        return boards[0] if squeeze else boards
+            upper = b
+        boards[0] = upper
+        return boards
 
     # ----------------------------------------------------------------- misc
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .awari import MoveOutcome, N_MOVE_SLOTS, N_PITS, _swap_sides
+from .awari_db import SowingCaptureGame
 from .awari_index import AwariIndexer
-from .base import CaptureGame, ChunkScan
 
 __all__ = ["KalahGame", "KalahCaptureGame"]
 
@@ -124,6 +124,12 @@ class KalahGame:
         result = _swap_sides(sown[:, :N_PITS])
         return MoveOutcome(legal=legal, captured=captured, boards=result)
 
+    def move_from(self, boards: np.ndarray, pit: int):
+        """:meth:`apply_move` on pit-major ``(12, N)`` boards, as
+        ``(legal, captured, successors)`` with pit-major successors."""
+        out = self.apply_move(boards.T, pit)
+        return out.legal, out.captured, out.boards.T
+
     def legal_moves(self, boards: np.ndarray) -> np.ndarray:
         boards = np.asarray(boards, dtype=np.int16)
         return boards[:, :6] > 0
@@ -191,7 +197,7 @@ class KalahGame:
         return np.concatenate(out_rows), np.concatenate(out_boards, axis=0)
 
 
-class KalahCaptureGame(CaptureGame):
+class KalahCaptureGame(SowingCaptureGame):
     """Kalah-nt wired into the capture-game protocol (databases by stone
     count, like awari — but captures as small as one stone occur)."""
 
@@ -199,64 +205,6 @@ class KalahCaptureGame(CaptureGame):
         self.engine = KalahGame()
         self.name = "kalah-nt"
 
-    def db_sequence(self, target: int):
-        if target < 0:
-            raise ValueError("stone count must be >= 0")
-        return list(range(target + 1))
-
-    def db_size(self, db_id: int) -> int:
-        return self.engine.indexer(db_id).count
-
-    def value_bound(self, db_id: int) -> int:
-        return int(db_id)
-
-    def exit_db(self, db_id: int, capture: int) -> int:
-        if capture <= 0 or capture > db_id:
-            raise ValueError(f"invalid capture {capture} from {db_id}-stone db")
-        return db_id - capture
-
-    def scan_chunk(self, db_id: int, start: int, stop: int) -> ChunkScan:
-        indexer = self.engine.indexer(db_id)
-        if not (0 <= start <= stop <= indexer.count):
-            raise ValueError(f"bad chunk [{start}, {stop}) for db {db_id}")
-        idx = np.arange(start, stop, dtype=np.int64)
-        boards = indexer.unrank(idx)
-        n = idx.shape[0]
-        legal = np.zeros((n, N_MOVE_SLOTS), dtype=bool)
-        capture = np.zeros((n, N_MOVE_SLOTS), dtype=np.int64)
-        succ = np.zeros((n, N_MOVE_SLOTS), dtype=np.int64)
-        for pit in range(N_MOVE_SLOTS):
-            outcome = self.engine.apply_move(boards, np.full(n, pit))
-            legal[:, pit] = outcome.legal
-            ok = outcome.legal
-            if not ok.any():
-                continue
-            caps = outcome.captured[ok]
-            capture[ok, pit] = caps
-            sub = outcome.boards[ok]
-            col = np.zeros(int(ok.sum()), dtype=np.int64)
-            for c in np.unique(caps):
-                m = caps == c
-                col[m] = self.engine.indexer(db_id - int(c)).rank(sub[m])
-            succ[ok, pit] = col
-        terminal = ~legal.any(axis=1)
-        terminal_value = -boards[:, 6:].sum(axis=1).astype(np.int64)
-        return ChunkScan(
-            start=start,
-            terminal=terminal,
-            terminal_value=terminal_value,
-            legal=legal,
-            capture=capture,
-            succ_index=succ,
-        )
-
-    def predecessors_internal(self, db_id: int, indices: np.ndarray):
-        indexer = self.engine.indexer(db_id)
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        boards = indexer.unrank(idx)
-        child_row, pred_boards = self.engine.noncapture_predecessors(
-            boards, max_stones=db_id
-        )
-        if child_row.size == 0:
-            return child_row, np.zeros(0, dtype=np.int64)
-        return child_row, indexer.rank(pred_boards)
+    def terminal_value(self, boards: np.ndarray, db_id: int) -> np.ndarray:
+        # No move (mover's side empty): the opponent keeps the rest.
+        return -boards[6:].sum(axis=0)

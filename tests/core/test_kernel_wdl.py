@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.graph import CSR
+from repro.core.graph import CSR, build_database_graph
+from repro.core.kernel import solve_kernel, threshold_init, unmove_provider
 from repro.core.oracle import oracle_wdl
+from repro.core.sequential import SequentialSolver
 from repro.core.values import LOSS, UNKNOWN, WIN
-from repro.core.wdl import build_wdl_graph, solve_wdl
+from repro.core.wdl import build_wdl_graph, solve_wdl, wdl_problem
+from repro.games.awari_db import AwariCaptureGame
 from repro.games.loopy import LoopyGraphGame, random_loopy_game
 from repro.games.nim import NimGame
 
@@ -194,3 +197,109 @@ class TestKernelInvariants:
                 assert (sol.depth[lost] < sol.depth[p]).any()
             elif sol.status[p] == LOSS:
                 assert sol.depth[moves].max() == sol.depth[p] - 1
+
+
+def _naive_rounds(successors, status0):
+    """Edge-at-a-time level-synchronous propagation: the reference for
+    every statistic the vectorized kernel reports, not only the labels."""
+    n = len(successors)
+    preds = [[] for _ in range(n)]
+    for p, moves in enumerate(successors):
+        for c in moves:
+            preds[c].append(p)
+    status = [int(s) for s in status0]
+    counts = [len(moves) for moves in successors]
+    depth = [0 if s != UNKNOWN else -1 for s in status]
+    frontier = [p for p in range(n) if status[p] != UNKNOWN]
+    finalized, notifications, rounds = len(frontier), 0, 0
+    round_sizes = [len(frontier)]
+    while frontier:
+        rounds += 1
+        notified = [(c, p) for c in frontier for p in preds[c]]
+        notifications += len(notified)
+        if not notified:
+            break
+        new_win = {
+            p for c, p in notified if status[c] == LOSS and status[p] == UNKNOWN
+        }
+        for p in new_win:
+            status[p] = int(WIN)
+        new_loss = set()
+        for c, p in notified:
+            if status[c] == WIN:
+                counts[p] -= 1
+        for c, p in notified:
+            if status[c] == WIN and counts[p] == 0 and status[p] == UNKNOWN:
+                new_loss.add(p)
+        for p in new_loss:
+            status[p] = int(LOSS)
+        frontier = sorted(new_win | new_loss)
+        for p in frontier:
+            depth[p] = rounds
+        finalized += len(frontier)
+        round_sizes.append(len(frontier))
+    return status, depth, rounds, finalized, notifications, round_sizes
+
+
+class TestMultigraphRounds:
+    """Parallel edges, self-loops and parents notified several times in
+    one round: what the stamp dedupe and the run-length decrement of
+    ``solve_kernel`` have to get right."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_multigraphs_match_oracle_and_naive_rounds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 14))
+        successors = [
+            [] if rng.random() < 0.25
+            else rng.integers(0, n, size=rng.integers(1, 7)).tolist()
+            for _ in range(n)
+        ]
+        successors[int(rng.integers(0, n))] = []
+        game = LoopyGraphGame(successors, terminal_win=rng.random(n) < 0.4)
+        graph = build_wdl_graph(game)
+        problem = wdl_problem(graph)
+        status0 = problem.status.copy()
+        result = solve_kernel(problem, record_rounds=True)
+
+        np.testing.assert_array_equal(result.status, oracle_wdl(game))
+        status, depth, rounds, finalized, notifications, sizes = _naive_rounds(
+            successors, status0
+        )
+        assert result.status.tolist() == status
+        assert result.depth.tolist() == depth
+        assert result.rounds == rounds
+        assert result.finalized == finalized
+        assert result.parent_notifications == notifications
+        assert result.round_sizes == sizes
+
+    def test_repeated_parent_within_one_round(self):
+        # 0 is lost; 1 has three parallel moves into it and one into the
+        # won terminal 2; 3 has two parallel moves into 2 and a self-loop.
+        game = LoopyGraphGame(
+            [[], [0, 0, 0, 2], [], [2, 2, 3]], terminal_win=[False, False, True, False]
+        )
+        result = solve_kernel(wdl_problem(build_wdl_graph(game)), record_rounds=True)
+        assert result.status.tolist() == [LOSS, WIN, WIN, UNKNOWN]
+        assert result.depth.tolist() == [0, 1, 0, -1]
+        assert result.parent_notifications == 6 and result.round_sizes == [2, 1]
+
+
+class TestUnmoveProviderOnAwari:
+    def test_unmove_provider_equals_csr_provider(self):
+        game = AwariCaptureGame()
+        values, _ = SequentialSolver(game).solve(6)
+        for n in range(1, 7):
+            graph = build_database_graph(game, n, values)
+            for t in range(1, n + 1):
+                by_csr = solve_kernel(threshold_init(graph, t), record_rounds=True)
+                problem = threshold_init(graph, t)
+                problem.predecessors = unmove_provider(game, n)
+                by_unmove = solve_kernel(problem, record_rounds=True)
+                np.testing.assert_array_equal(by_unmove.status, by_csr.status)
+                np.testing.assert_array_equal(by_unmove.depth, by_csr.depth)
+                assert by_unmove.rounds == by_csr.rounds
+                assert by_unmove.finalized == by_csr.finalized
+                assert by_unmove.parent_notifications == by_csr.parent_notifications
+                assert by_unmove.round_sizes == by_csr.round_sizes
