@@ -41,6 +41,7 @@ from ..serve.client import (
     ProbeTransportError,
 )
 from ..serve.protocol import MAX_MESSAGE_BYTES
+from ..serve.service import split_positions
 from . import frames
 
 __all__ = ["AsyncProbeClient", "BinaryProbeClient", "EventLoopThread"]
@@ -256,17 +257,7 @@ class AsyncProbeClient:
 
     async def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]`` in request order."""
-        positions = list(positions)
-        response = await self._request(
-            lambda seq: frames.encode_probe_many(seq, positions)
-        )
-        values = response.values
-        if values.shape[0] != len(positions):
-            raise ProbeTransportError(
-                f"probe_many answered {values.shape[0]} values for "
-                f"{len(positions)} probes"
-            )
-        return values
+        return await self.probe_packed(*split_positions(positions))
 
     async def probe_packed(self, directory, db_slots, indices) -> np.ndarray:
         """Values for a batch already split into parallel arrays (the
@@ -277,7 +268,13 @@ class AsyncProbeClient:
                 seq, directory, db_slots, indices
             )
         )
-        return response.values
+        values = response.values
+        if values.shape[0] != len(indices):
+            raise ProbeTransportError(
+                f"probe_many answered {values.shape[0]} values for "
+                f"{len(indices)} probes"
+            )
+        return values
 
     async def depth_of(self, db_id, index: int):
         """Distance for one position, ``None`` when not served."""
@@ -339,7 +336,7 @@ class BinaryProbeClient:
     :class:`~repro.serve.client.ProbeClient`, so query/search/router
     code runs over the binary transport unchanged.  Adds the pipelining
     surface: :meth:`pipeline` floods many batches down one connection
-    concurrently, and :meth:`submit_probe_many` dispatches without
+    concurrently, and :meth:`submit_probe_packed` dispatches without
     blocking (the router's scatter primitive).
 
     ``loop_thread`` shares one :class:`EventLoopThread` between clients;
@@ -502,8 +499,8 @@ class BinaryProbeClient:
 
         return self._call(run)
 
-    def submit_probe_many(self, positions):
-        """Dispatch one batch without blocking; returns a
+    def submit_probe_packed(self, directory, db_slots, indices):
+        """Dispatch one pre-split batch without blocking; returns a
         ``concurrent.futures.Future`` of the value array.
 
         No replay happens here — the caller (the router) owns failover.
@@ -515,7 +512,9 @@ class BinaryProbeClient:
             self._connect()
             self.reconnects += 1
             self.metrics.inc("reconnects")
-        return self._loop.submit(self._async.probe_many(list(positions)))
+        return self._loop.submit(
+            self._async.probe_packed(directory, db_slots, indices)
+        )
 
     def depth_of(self, db_id, index: int):
         """Distance for one position, ``None`` when not served."""

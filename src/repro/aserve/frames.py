@@ -58,6 +58,7 @@ import numpy as np
 
 from ..db.store import DatabaseSet
 from ..serve.protocol import BINARY_VERSION, MAX_MESSAGE_BYTES, ProtocolError
+from ..serve.service import split_positions
 
 __all__ = [
     "BINARY_VERSION",
@@ -209,21 +210,11 @@ def encode_depth_of(seq: int, db_id, index: int) -> bytes:
 def encode_probe_many(seq: int, positions) -> bytes:
     """Request payload for a ``[(db_id, index), ...]`` batch.
 
-    Builds the per-frame database directory, then delegates to
-    :func:`encode_probe_many_packed` for the bulk record encode.
+    Splits the list once (:func:`~repro.serve.service.split_positions`),
+    then delegates to :func:`encode_probe_many_packed` for the bulk
+    record encode.
     """
-    directory: list = []
-    slot_of: dict = {}
-    slots: list = []
-    indices: list = []
-    for db_id, index in positions:
-        slot = slot_of.get(db_id)
-        if slot is None:
-            slot = slot_of[db_id] = len(directory)
-            directory.append(db_id)
-        slots.append(slot)
-        indices.append(int(index))
-    return encode_probe_many_packed(seq, directory, slots, indices)
+    return encode_probe_many_packed(seq, *split_positions(positions))
 
 
 def encode_probe_many_packed(seq: int, directory, db_slots, indices) -> bytes:

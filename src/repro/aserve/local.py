@@ -31,14 +31,18 @@ endpoint string is an existing local path.
 from __future__ import annotations
 
 import mmap
-import threading
 
 import numpy as np
 
 from ..obs import NULL_METRICS
 from ..serve.cache import BlockCache
 from ..serve.pagedstore import PagedStore
-from ..serve.service import DEFAULT_CACHE_BYTES
+from ..serve.service import (
+    DEFAULT_CACHE_BYTES,
+    PagedBackend,
+    check_range,
+    split_positions,
+)
 
 __all__ = ["LocalProbeClient"]
 
@@ -46,8 +50,8 @@ __all__ = ["LocalProbeClient"]
 class LocalProbeClient:
     """In-process probe client over an mmapped paged store.
 
-    Thread-safe (a lock covers the zlib block cache; raw-codec reads are
-    lock-free numpy views).  ``metrics`` is typically
+    Thread-safe (the zlib block cache serializes itself; raw-codec reads
+    are lock-free numpy views).  ``metrics`` is typically
     ``registry.scoped("aserve.local")``.
     """
 
@@ -59,7 +63,6 @@ class LocalProbeClient:
         with open(self.path, "rb") as fh:
             self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         self._metrics.set_gauge("mmap_bytes", len(self._mm))
-        self._lock = threading.Lock()
         self._game = None
         self._closed = False
         codec = self._store.codec
@@ -93,6 +96,7 @@ class LocalProbeClient:
             self.fallback_reason = f"codec {codec!r} is not mmap-decodable"
             self._metrics.inc("mmap_fallbacks")
             self._cache = BlockCache(cache_bytes)
+            self._paged = PagedBackend(self._store, self._cache)
             self._arrays = None
 
     def _raw_view(self, db_id) -> np.ndarray:
@@ -190,34 +194,11 @@ class LocalProbeClient:
 
     # ---------------------------------------------------------------- probes
 
-    def _check_range(self, db_id, idx: np.ndarray) -> None:
-        n = self._store.positions(db_id)
-        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n):
-            bad = int(idx[(idx < 0) | (idx >= n)][0])
-            raise IndexError(
-                f"index {bad} out of range for db {db_id!r} ({n} positions)"
-            )
-
     def _gather(self, db_id, indices: np.ndarray) -> np.ndarray:
-        self._check_range(db_id, indices)
+        check_range(db_id, indices, self._store.positions(db_id))
         if self._arrays is not None:
             return self._arrays[db_id][indices]
-        store = self._store
-        out = np.empty(indices.shape[0], dtype=np.int16)
-        blocks = indices // store.block_positions
-        base = blocks * store.block_positions
-        with self._lock:
-            for block_no in np.unique(blocks):
-                mask = blocks == block_no
-                values = self._cache.get(
-                    (db_id, int(block_no)),
-                    lambda b=int(block_no): store.read_block(db_id, b),
-                    stored_bytes=store.stored_block_bytes(
-                        db_id, int(block_no)
-                    ),
-                )
-                out[mask] = values[indices[mask] - base[mask]]
-        return out
+        return self._paged.gather(db_id, indices)
 
     def probe(self, db_id, index: int) -> int:
         """Exact value of one position."""
@@ -227,21 +208,13 @@ class LocalProbeClient:
 
     def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]`` in request order."""
-        positions = list(positions)
+        directory, db_slots, indices = split_positions(positions)
         self._metrics.inc("batches")
-        self._metrics.inc("probes", len(positions))
-        out = np.empty(len(positions), dtype=np.int16)
-        if not positions:
-            return out
-        by_db: dict = {}
-        for slot, (db_id, index) in enumerate(positions):
-            by_db.setdefault(db_id, []).append((slot, int(index)))
-        for db_id, entries in by_db.items():
-            slots = np.fromiter((s for s, _ in entries), dtype=np.int64,
-                                count=len(entries))
-            idx = np.fromiter((i for _, i in entries), dtype=np.int64,
-                              count=len(entries))
-            out[slots] = self._gather(db_id, idx)
+        self._metrics.inc("probes", int(indices.shape[0]))
+        out = np.empty(indices.shape[0], dtype=np.int16)
+        for slot, db_id in enumerate(directory):
+            mask = db_slots == slot
+            out[mask] = self._gather(db_id, indices[mask])
         return out
 
     def probe_array(self, db_id, indices) -> np.ndarray:

@@ -12,11 +12,13 @@ Routing is owner-computes, like the solver itself: every global
 position ``(db, index)`` has exactly one owning shard under the
 partition recorded in the shard manifest, and the router sends each
 probe only to its owner (``partition.owner_of``), translated to the
-owner's dense local slot (``partition.to_local``).  A batch is split
-into per-shard sub-batches, each sorted by storage locality (database,
-then paged block of the local slot) so the shard's block cache is
-touched sequentially, dispatched concurrently across shards, and merged
-back in request order.
+owner's dense local slot (``partition.to_local``).  A batch is routed
+as arrays, never position by position: split once into parallel arrays,
+mapped through the partitions per distinct database, ordered by one
+``np.lexsort`` on (shard, database, paged block of the local slot) so
+each shard's block cache is touched sequentially, cut into per-shard
+slices, dispatched concurrently across shards, and merged back in
+request order with one indexed assignment per shard.
 
 Failure handling is health-aware (:mod:`repro.cluster.health`): every
 endpoint carries a circuit breaker.  Transport failures inside one
@@ -55,7 +57,9 @@ returns it only when done.
 :class:`~repro.aserve.client.EventLoopThread`: a scatter then dispatches
 every shard's sub-batch as a concurrent future on that loop instead of
 spawning a thread per shard, and failover falls back to the same
-breaker-driven path on transport failure or overload.
+breaker-driven path on transport failure or overload.  When hedging is
+armed, both transports fetch each shard's slice through the same
+per-shard hedged fetch.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from ..serve.client import (
     ProbeOverloadedError,
     ProbeTransportError,
 )
+from ..serve.service import check_range, split_positions
 from .health import EndpointHealth
 from .manifest import ShardManifest
 from .topology import ClusterTopology, ShardEndpoint
@@ -111,7 +116,7 @@ class ShardRouter:
     shards sharing one event-loop thread) for ``transport="binary"``;
     tests inject fakes here to pin routing decisions without sockets.  A
     custom factory used with the binary transport must produce clients
-    with ``submit_probe_many``.
+    with ``probe_packed`` and ``submit_probe_packed``.
 
     Health knobs:
 
@@ -397,32 +402,63 @@ class ShardRouter:
 
     # ---------------------------------------------------------------- probes
 
-    def _route(self, db_id, index: int) -> tuple:
-        """(owning shard, local slot) of one global position."""
-        n = self.manifest.positions(db_id)
-        index = int(index)
-        if not (0 <= index < n):
-            raise IndexError(
-                f"index {index} out of range for db {db_id!r} ({n} positions)"
-            )
-        part = self.manifest.partition_for(db_id)
-        return int(part.owner_of(index)), int(part.to_local(index))
+    def _route(self, directory, db_slots, indices) -> list:
+        """Pure routing of a split batch: one ``(shard, slots, db_slots,
+        locals)`` per owning shard.
+
+        ``slots`` are the request positions of the shard's probes,
+        ordered by the shard's storage locality — database (as text),
+        then paged block of the local slot, ties in request order —
+        and ``db_slots`` / ``locals`` run parallel to it.  An unknown
+        database raises :class:`KeyError` and an index outside its
+        database :class:`IndexError`, before any client is taken.
+        """
+        shards = np.empty(indices.shape[0], dtype=np.int64)
+        local = np.empty(indices.shape[0], dtype=np.int64)
+        for slot, db_id in enumerate(directory):
+            mask = db_slots == slot
+            idx = indices[mask]
+            check_range(db_id, idx, self.manifest.positions(db_id))
+            part = self.manifest.partition_for(db_id)
+            shards[mask] = part.owner_of(idx)
+            local[mask] = part.to_local(idx)
+        by_text = sorted(range(len(directory)),
+                         key=lambda slot: str(directory[slot]))
+        rank = np.empty(len(directory), dtype=np.intp)
+        rank[by_text] = np.arange(len(directory))
+        order = np.lexsort(
+            (local // self.manifest.block_positions, rank[db_slots], shards)
+        )
+        shards, db_slots, local = shards[order], db_slots[order], local[order]
+        cuts = (np.flatnonzero(np.diff(shards)) + 1).tolist()
+        return [
+            (int(shards[a]), order[a:b], db_slots[a:b], local[a:b])
+            for a, b in zip([0, *cuts], [*cuts, order.shape[0]])
+        ]
+
+    def _shard_op(self, directory, db_slots, local):
+        """The blocking client call that fetches one routed sub-batch:
+        packed arrays on the binary transport, ``probe_many`` with a
+        list of ``(db_id, local)`` pairs on the JSON one."""
+        if self.transport == "binary":
+            return lambda c: c.probe_packed(directory, db_slots, local)
+        pairs = list(zip(map(directory.__getitem__, db_slots.tolist()),
+                         local.tolist()))
+        return lambda c: c.probe_many(pairs)
 
     def probe(self, db_id, index: int) -> int:
         """Exact value of global position ``index`` of ``db_id``."""
         self._metrics.inc(names.CLUSTER_PROBES)
-        shard, local = self._route(db_id, index)
+        ((shard, _, _, local),) = self._route(
+            [db_id], np.zeros(1, dtype=np.intp),
+            np.asarray([index], dtype=np.int64),
+        )
+        local = int(local[0])
         return int(
             self._on_shard(shard, lambda c: c.probe(db_id, local))
         )
 
-    def _fetch_values(self, shard: int, pairs):
-        """One shard's sub-batch, hedged when configured."""
-        if self._hedge_after_ms is None:
-            return self._on_shard(shard, lambda c: c.probe_many(pairs))
-        return self._hedged_fetch(shard, pairs)
-
-    def _hedged_fetch(self, shard: int, pairs):
+    def _hedged_fetch(self, shard: int, op):
         """Batched fetch with a hedged backup: when the primary has not
         answered within ``hedge_after_ms``, mirror the sub-batch to the
         next-healthiest endpoint and take whichever answers first.  A
@@ -431,7 +467,6 @@ class ShardRouter:
         deadline_at = (None if self._deadline is None
                        else self._clock() + self._deadline)
         candidates = self._health.candidates(shard)
-        op = lambda c: c.probe_many(pairs)  # noqa: E731 — shared by threads
         if len(candidates) < 2:
             return self._sequential(shard, op, candidates, deadline_at)
         primary, backup, rest = candidates[0], candidates[1], candidates[2:]
@@ -514,48 +549,41 @@ class ShardRouter:
     def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]`` in request order.
 
-        Scatter: probes are grouped by owning shard, each group sorted
-        by the shard's storage locality, and the groups are dispatched
-        concurrently (one thread per shard when more than one shard is
-        involved).  Gather: each shard's answers land in the output at
-        their original request slots.
+        Scatter: the batch is split into parallel arrays once, routed
+        as arrays (:meth:`_route`) and each owning shard's slice is
+        dispatched concurrently — futures on the shared event loop for
+        the binary transport, one thread per shard otherwise (and for
+        hedged fetches on either transport).  Gather: each shard's
+        answers land in the output at their original request slots.
         """
-        positions = list(positions)
+        directory, db_slots, indices = split_positions(positions)
         self._metrics.inc(names.CLUSTER_BATCHES)
-        self._metrics.inc(names.CLUSTER_PROBES, len(positions))
-        out = np.empty(len(positions), dtype=np.int16)
-        if not positions:
+        self._metrics.inc(names.CLUSTER_PROBES, int(indices.shape[0]))
+        out = np.empty(indices.shape[0], dtype=np.int16)
+        if not indices.shape[0]:
             return out
-        block = self.manifest.block_positions
-        by_shard: dict = {}
-        for slot, (db_id, index) in enumerate(positions):
-            shard, local = self._route(db_id, index)
-            by_shard.setdefault(shard, []).append((slot, db_id, local))
-        for entries in by_shard.values():
-            entries.sort(key=lambda e: (str(e[1]), e[2] // block))
+        routed = self._route(directory, db_slots, indices)
+        self._metrics.inc(names.CLUSTER_FANOUTS, len(routed))
 
-        def fetch(shard, entries):
-            pairs = [(db_id, local) for _, db_id, local in entries]
-            self._metrics.inc(names.CLUSTER_FANOUTS)
-            values = self._fetch_values(shard, pairs)
-            slots = np.fromiter(
-                (slot for slot, _, _ in entries), dtype=np.int64,
-                count=len(entries),
+        fetch_values = (self._on_shard if self._hedge_after_ms is None
+                        else self._hedged_fetch)
+
+        def fetch(shard, slots, sub_slots, local):
+            out[slots] = fetch_values(
+                shard, self._shard_op(directory, sub_slots, local)
             )
-            out[slots] = values
 
-        if len(by_shard) == 1:
-            ((shard, entries),) = by_shard.items()
-            fetch(shard, entries)
+        if len(routed) == 1:
+            fetch(*routed[0])
             return out
-        if self.transport == "binary":
-            self._scatter_async(by_shard, out)
+        if self.transport == "binary" and self._hedge_after_ms is None:
+            self._scatter_async(directory, routed, out)
             return out
         failures: list = []
 
-        def worker(shard, entries):
+        def worker(*sub_batch):
             try:
-                fetch(shard, entries)
+                fetch(*sub_batch)
             except Exception as exc:  # noqa: BLE001 — gathered and
                 # re-raised on the caller's thread below; a scatter
                 # thread must never die silently.
@@ -563,10 +591,10 @@ class ShardRouter:
 
         threads = [
             threading.Thread(
-                target=worker, args=(shard, entries),
-                name=f"shard-router-{shard}", daemon=True,
+                target=worker, args=sub_batch,
+                name=f"shard-router-{sub_batch[0]}", daemon=True,
             )
-            for shard, entries in by_shard.items()
+            for sub_batch in routed
         ]
         for thread in threads:
             thread.start()
@@ -576,7 +604,8 @@ class ShardRouter:
             raise failures[0]
         return out
 
-    def _scatter_async(self, by_shard: dict, out: np.ndarray) -> None:
+    def _scatter_async(self, directory, routed: list,
+                       out: np.ndarray) -> None:
         """Binary-transport scatter: every shard's sub-batch goes out as
         a concurrent future on the shared event loop (no scatter
         threads).  A shard whose future fails in transport records a
@@ -585,28 +614,21 @@ class ShardRouter:
         the breaker untouched."""
         deadline_at = (None if self._deadline is None
                        else self._clock() + self._deadline)
-        pairs_of = {
-            shard: [(db_id, local) for _, db_id, local in entries]
-            for shard, entries in by_shard.items()
-        }
-        futures: dict = {}
-        taken: dict = {}  # shard -> (endpoint index, checked-out client)
-        for shard, pairs in pairs_of.items():
-            self._metrics.inc(names.CLUSTER_FANOUTS)
+        inflight = []
+        for shard, slots, sub_slots, local in routed:
             endpoint = self._health.candidates(shard)[0]
             try:
                 client = self._take_client(shard, endpoint)
-                futures[shard] = client.submit_probe_many(pairs)
-                taken[shard] = (endpoint, client)
+                future = client.submit_probe_packed(
+                    directory, sub_slots, local
+                )
             except ProbeTransportError:
                 self._metrics.inc(names.CLUSTER_SHARD_ERRORS)
                 self._health.breaker(shard, endpoint).record_failure()
-                futures[shard] = None  # replayed blocking, below
-                taken[shard] = (endpoint, None)
-        for shard, entries in by_shard.items():
-            pairs, future = pairs_of[shard], futures[shard]
-            endpoint, client = taken[shard]
-            op = lambda c, p=pairs: c.probe_many(p)  # noqa: E731
+                client = future = None  # replayed blocking, below
+            op = self._shard_op(directory, sub_slots, local)
+            inflight.append((shard, slots, op, endpoint, client, future))
+        for shard, slots, op, endpoint, client, future in inflight:
             if future is None:
                 values = self._failover_rest(
                     shard, op, endpoint, deadline_at, last=None
@@ -634,10 +656,6 @@ class ShardRouter:
                 else:
                     self._health.breaker(shard, endpoint).record_success()
                     self._return_client(shard, endpoint, client)
-            slots = np.fromiter(
-                (slot for slot, _, _ in entries), dtype=np.int64,
-                count=len(entries),
-            )
             out[slots] = values
 
     def depth_of(self, db_id, index: int):

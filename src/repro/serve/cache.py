@@ -85,7 +85,8 @@ class BlockCache:
         The loader runs **under the cache lock** (single-flight): a
         second thread missing the same key waits and then hits.
         ``stored_bytes`` is the block's encoded size for the
-        ``packed_resident_bytes`` gauge; it only matters on a miss.
+        ``packed_resident_bytes`` gauge; it only matters on a miss, so
+        it may be a zero-argument callable, evaluated only then.
         """
         self._acquire()
         try:
@@ -98,6 +99,8 @@ class BlockCache:
             self.misses += 1
             self._metrics.inc("misses")
             block = loader()
+            if callable(stored_bytes):
+                stored_bytes = stored_bytes()
             self.put(key, block, stored_bytes)
             return block
         finally:

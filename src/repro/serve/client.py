@@ -213,8 +213,13 @@ class ProbeClient:
         )["value"])
 
     def probe_many(self, positions) -> np.ndarray:
-        pairs = [[db_id, int(index)] for db_id, index in positions]
-        values = self.request({"op": "probe_many", "positions": pairs})["values"]
+        # Pairs travel as handed over: a tuple encodes as a JSON array,
+        # and the server casts every index once, as an array.
+        if not isinstance(positions, (list, tuple)):
+            positions = list(positions)
+        values = self.request(
+            {"op": "probe_many", "positions": positions}
+        )["values"]
         return np.asarray(values, dtype=np.int16)
 
     def depth_of(self, db_id, index: int):

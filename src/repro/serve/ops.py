@@ -67,9 +67,8 @@ class JsonRequestHandler:
         return {"ok": True, "value": value}
 
     def _op_probe_many(self, request: dict) -> dict:
-        positions = [(db, int(index)) for db, index in request["positions"]]
-        values = self.service.probe_many(positions)
-        return {"ok": True, "values": [int(v) for v in values]}
+        values = self.service.probe_many(request["positions"])
+        return {"ok": True, "values": values.tolist()}
 
     def _op_best_move(self, request: dict) -> dict:
         board = request["board"]

@@ -59,10 +59,22 @@ class OversizedFrameError(ProtocolError):
     """
 
 
+def _scalar(obj):
+    """``json.dumps`` fallback: a numpy scalar (a probe index taken from
+    an array) travels as the Python number it holds."""
+    if hasattr(obj, "item"):
+        return obj.item()
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable"
+    )
+
+
 def send_message(sock: socket.socket, message: dict,
                  max_bytes: int = MAX_MESSAGE_BYTES) -> None:
     """Send one length-prefixed JSON message."""
-    payload = json.dumps(message, separators=(",", ":")).encode()
+    payload = json.dumps(
+        message, separators=(",", ":"), default=_scalar
+    ).encode()
     if len(payload) > max_bytes:
         raise OversizedFrameError(
             f"message of {len(payload)} bytes exceeds limit ({max_bytes})"

@@ -33,10 +33,45 @@ from ..obs import NULL_METRICS
 from .cache import BlockCache
 from .pagedstore import PagedStore
 
-__all__ = ["MemoryBackend", "PagedBackend", "ProbeService"]
+__all__ = ["MemoryBackend", "PagedBackend", "ProbeService",
+           "check_range", "split_positions"]
 
 #: Default cache budget for paged serving: 64 MiB.
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
+
+
+def split_positions(positions) -> tuple:
+    """``[(db_id, index), ...]`` as ``(directory, db_slots, indices)``.
+
+    ``directory`` lists the distinct database ids in first-seen order,
+    ``db_slots[i]`` is probe ``i``'s slot in it and ``indices[i]`` its
+    position (cast to int64 once, as an array).  Every batched path —
+    service, local client, binary frames, cluster router — takes its
+    list apart here and works on the parallel arrays from then on.
+    """
+    if not isinstance(positions, (list, tuple)):
+        positions = list(positions)
+    if not positions:
+        return [], np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    db_ids, indices = zip(*positions, strict=True)
+    directory = list(dict.fromkeys(db_ids))
+    if len(directory) == 1:
+        db_slots = np.zeros(len(db_ids), dtype=np.intp)
+    else:
+        slot_of = {db_id: slot for slot, db_id in enumerate(directory)}
+        db_slots = np.fromiter(map(slot_of.__getitem__, db_ids),
+                               dtype=np.intp, count=len(db_ids))
+    return directory, db_slots, np.array(indices, dtype=np.int64)
+
+
+def check_range(db_id, idx: np.ndarray, n: int) -> None:
+    """Raise :class:`IndexError` naming the first index of ``idx``
+    outside ``[0, n)``, the database and its size."""
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n):
+        bad = int(idx[(idx < 0) | (idx >= n)][0])
+        raise IndexError(
+            f"index {bad} out of range for db {db_id!r} ({n} positions)"
+        )
 
 
 class MemoryBackend:
@@ -66,10 +101,6 @@ class MemoryBackend:
 
     def gather(self, db_id, indices: np.ndarray) -> np.ndarray:
         return self._dbs[db_id][indices]
-
-    def locality_key(self, db_id, index: int):
-        # Whole databases are resident; grouping by database is enough.
-        return (str(db_id),)
 
     def depth_of(self, db_id, index: int):
         return self._dbs.depth_of(db_id, index)
@@ -132,26 +163,24 @@ class PagedBackend:
         # contiguous run, so the gather is one cache hit plus one slice
         # per block instead of a boolean mask over the whole batch.
         out = np.empty(indices.shape[0], dtype=np.int16)
-        run_bounds = np.flatnonzero(np.diff(blocks)) + 1
-        starts = np.concatenate(([0], run_bounds))
-        stops = np.concatenate((run_bounds, [blocks.shape[0]]))
+        offsets = indices - blocks * block_positions
+        run_bounds = (np.flatnonzero(np.diff(blocks)) + 1).tolist()
+        starts = [0, *run_bounds]
+        stops = [*run_bounds, blocks.shape[0]]
+        store, cache = self._store, self._cache
         # The cache serializes itself (BlockCache holds its RLock across
         # the miss loader), so block loads stay single-flight without an
-        # extra backend lock on the hit path.
-        for a, b in zip(starts, stops):
-            block_no = int(blocks[a])
-            values = self._cache.get(
+        # extra backend lock on the hit path; a hit runs neither lambda.
+        for a, b, block_no in zip(starts, stops, blocks[starts].tolist()):
+            values = cache.get(
                 (db_id, block_no),
-                lambda n=block_no: self._store.read_block(db_id, n),
-                stored_bytes=self._store.stored_block_bytes(
-                    db_id, block_no
+                lambda n=block_no: store.read_block(db_id, n),
+                stored_bytes=lambda n=block_no: store.stored_block_bytes(
+                    db_id, n
                 ),
             )
-            out[a:b] = values[indices[a:b] - block_no * block_positions]
+            out[a:b] = values[offsets[a:b]]
         return out
-
-    def locality_key(self, db_id, index: int):
-        return (str(db_id), int(index) // self._store.block_positions)
 
     def depth_of(self, db_id, index: int):
         return None  # depth arrays are not paged
@@ -232,43 +261,17 @@ class ProbeService:
         """Exact value of position ``index`` of database ``db_id``."""
         self._metrics.inc("probes")
         idx = np.asarray([index], dtype=np.int64)
-        self._check_range(db_id, idx)
+        check_range(db_id, idx, self._backend.positions(db_id))
         return int(self._backend.gather(db_id, idx)[0])
 
     def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]``, in request order.
 
-        Lookups are executed sorted by the backend's locality key
-        (database, then block for the paged backend) so a batch touching
-        one block pays for it once regardless of request order.
+        The list is split once (:func:`split_positions`) and answered by
+        :meth:`probe_packed`, so a batch touching one block pays for it
+        once regardless of request order.
         """
-        positions = list(positions)
-        self._metrics.inc("batches")
-        self._metrics.inc("probes", len(positions))
-        out = np.empty(len(positions), dtype=np.int16)
-        if not positions:
-            return out
-        order = sorted(
-            range(len(positions)),
-            key=lambda k: self._backend.locality_key(*positions[k]),
-        )
-        run_start = 0
-        while run_start < len(order):
-            db_id = positions[order[run_start]][0]
-            run_stop = run_start
-            while (
-                run_stop < len(order)
-                and positions[order[run_stop]][0] == db_id
-            ):
-                run_stop += 1
-            slots = order[run_start:run_stop]
-            idx = np.asarray(
-                [int(positions[k][1]) for k in slots], dtype=np.int64
-            )
-            self._check_range(db_id, idx)
-            out[slots] = self._backend.gather(db_id, idx)
-            run_start = run_stop
-        return out
+        return self.probe_packed(*split_positions(positions))
 
     def probe_array(self, db_id, indices) -> np.ndarray:
         """Vectorized ``probe_many`` over one database.
@@ -310,7 +313,7 @@ class ProbeService:
 
     def _gather_sorted(self, db_id, indices: np.ndarray) -> np.ndarray:
         """Range-check, locality-sort, gather, restore request order."""
-        self._check_range(db_id, indices)
+        check_range(db_id, indices, self._backend.positions(db_id))
         if indices.shape[0] <= 1:
             return self._backend.gather(db_id, indices).astype(
                 np.int16, copy=False
@@ -323,14 +326,6 @@ class ProbeService:
     def depth_of(self, db_id, index: int):
         """Distance for one position, ``None`` when not available."""
         return self._backend.depth_of(db_id, index)
-
-    def _check_range(self, db_id, idx: np.ndarray) -> None:
-        n = self._backend.positions(db_id)
-        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n):
-            bad = int(idx[(idx < 0) | (idx >= n)][0])
-            raise IndexError(
-                f"index {bad} out of range for db {db_id!r} ({n} positions)"
-            )
 
     # ------------------------------------------------------------ best move
 

@@ -7,11 +7,14 @@ shard, local counts summing to the global size, ``spec()`` round-trips.
 The routing layer is checked with injected fake clients (no sockets):
 the router must send each probe *only* to its owner's endpoint at the
 owner-local slot, and fail over to the replica endpoint exactly when a
-primary raises a transport error.
+primary raises a transport error.  A Hypothesis property holds the
+array routing of a whole batch to a per-position scalar reference.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.manifest import ShardManifest
 from repro.cluster.router import ShardRouter
@@ -317,3 +320,122 @@ class TestFailoverRouting:
                 router.probe(5, 0)
         assert registry.counters.get("cluster.failovers", 0) == 0
         assert len(log) == 1  # one attempt, no replay anywhere
+
+
+# ------------------------------------------- array routing ≡ scalar routing
+
+BLOCK = 64  # make_manifest's block_positions
+
+
+class RecordingClient(FakeClient):
+    """Keeps every sub-batch exactly as the router handed it over."""
+
+    def __init__(self, host, port, log, batches):
+        super().__init__(host, port, log)
+        self.batches = batches
+
+    def probe_many(self, pairs):
+        self.batches.append((self.port, pairs))
+        return super().probe_many(pairs)
+
+
+def recording_router(kind, sizes, n_shards, batches, made):
+    """A router whose fake clients record whole sub-batches in
+    ``batches`` and their own construction in ``made``."""
+
+    def factory(host, port):
+        made.append(port)
+        return RecordingClient(host, port, [], batches)
+
+    return ShardRouter(
+        make_manifest(kind, sizes, n_shards),
+        [[("fake", PRIMARY_BASE + r)] for r in range(n_shards)],
+        client_factory=factory,
+    )
+
+
+@st.composite
+def routed_batch(draw):
+    """(kind, n_shards, sizes, positions): int or str database ids,
+    positions drawn with replacement so duplicates are common."""
+    kind = draw(st.sampled_from(KINDS))
+    n_shards = draw(st.integers(1, 4))
+    ids = draw(st.sampled_from([(0, 3, 5, 10), ("a", "kalah-4", "10", "9")]))
+    sizes = {db_id: draw(st.integers(1, 300)) for db_id in ids}
+    positions = draw(st.lists(
+        st.sampled_from(ids).flatmap(
+            lambda db_id: st.tuples(
+                st.just(db_id), st.integers(0, sizes[db_id] - 1)
+            )
+        ),
+        min_size=1, max_size=80,
+    ))
+    return kind, n_shards, sizes, positions
+
+
+class TestArrayRoutingMatchesScalarReference:
+    @given(routed_batch())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_routing(self, case):
+        kind, n_shards, sizes, positions = case
+        batches, made = [], []
+        with recording_router(kind, sizes, n_shards, batches, made) as router:
+            values = router.probe_many(positions)
+            parts = {d: router.manifest.partition_for(d) for d in sizes}
+        # The reference: one index at a time through the scalar calls.
+        reference = [
+            (int(parts[db_id].owner_of(index)), db_id,
+             int(parts[db_id].to_local(index)))
+            for db_id, index in positions
+        ]
+        # Merged answer in request order (duplicates included).
+        assert values.dtype == np.int16 and values.shape == (len(positions),)
+        assert values.tolist() == [
+            encode(PRIMARY_BASE + owner, local)
+            for owner, _, local in reference
+        ]
+        # One sub-batch per owning shard, nothing sent anywhere else.
+        assert sorted(port for port, _ in batches) == sorted(
+            {PRIMARY_BASE + owner for owner, _, _ in reference}
+        )
+        for port, pairs in batches:
+            assert len(pairs) > 0  # a sized container, not an iterator
+            assert all(
+                isinstance(pair, tuple) and len(pair) == 2 for pair in pairs
+            )
+            assert all(db_id in sizes for db_id, _ in pairs)
+            keys = [(str(db_id), local // BLOCK) for db_id, local in pairs]
+            assert keys == sorted(keys), "sub-batch not in locality order"
+            want = [
+                (db_id, local) for owner, db_id, local in reference
+                if PRIMARY_BASE + owner == port
+            ]
+            assert sorted(pairs, key=repr) == sorted(want, key=repr)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("transport", ["json", "binary"])
+    def test_bad_positions_raise_before_any_client_is_taken(
+        self, kind, transport
+    ):
+        """Range and database checks belong to the pure routing step:
+        they fire before the pool is touched, on either transport, for
+        a batch and for a single probe alike."""
+        made = []
+        router = ShardRouter(
+            make_manifest(kind, SIZES, 2),
+            [[("fake", PRIMARY_BASE + r)] for r in range(2)],
+            client_factory=lambda host, port: made.append(port),
+            transport=transport,
+        )
+        with router:
+            for bad in (119, -1):
+                message = f"index {bad} out of range for db 5 \\(119 positions\\)"
+                with pytest.raises(IndexError, match=message):
+                    router.probe_many([(3, 1), (5, 7), (5, bad), (3, 2)])
+                with pytest.raises(IndexError, match=message):
+                    router.probe(5, bad)
+            with pytest.raises(KeyError, match="database 99 not present"):
+                router.probe_many([(3, 1), (99, 0)])
+            with pytest.raises(KeyError, match="database 'x' not present"):
+                router.probe("x", 0)
+        assert made == []

@@ -11,6 +11,7 @@ layer closes the loop the original rotation design could not: a killed
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -88,6 +89,30 @@ class SlowClient(FakeClient):
     def probe_many(self, pairs):
         time.sleep(self.delay)
         return super().probe_many(pairs)
+
+
+class PackedClient(FakeClient):
+    """What the binary transport calls: packed arrays in, the blocking
+    call or a future of it out — answered by ``probe_many``, so the
+    slow/failing subclasses behave the same on either transport."""
+
+    def probe_packed(self, directory, db_slots, local):
+        return self.probe_many(
+            [(directory[slot], index)
+             for slot, index in zip(db_slots.tolist(), local.tolist())]
+        )
+
+    def submit_probe_packed(self, directory, db_slots, local):
+        future: Future = Future()
+        try:
+            future.set_result(self.probe_packed(directory, db_slots, local))
+        except ProbeError as exc:
+            future.set_exception(exc)
+        return future
+
+
+class SlowPackedClient(PackedClient, SlowClient):
+    """A slow endpoint behind the binary transport's calls."""
 
 
 class BlackholedClient(FakeClient):
@@ -219,6 +244,35 @@ class TestHedgedReads:
         assert registry.counters["cluster.hedges"] == 1
         assert registry.counters["cluster.hedge_wins"] == 1
         # Nothing failed: hedging is latency insurance, not failover.
+        assert registry.counters.get("cluster.shard_errors", 0) == 0
+
+    def test_binary_scatter_hedges_a_multi_shard_batch(self):
+        """The binary scatter used to skip the hedge whenever a batch
+        spanned more than one shard: both shards' primaries are slow
+        here, so every sub-batch must be hedged and answered by its
+        shard's backup."""
+        log = []
+        registry = MetricsRegistry()
+
+        def factory(host, port):
+            if port < REPLICA_BASE:
+                return SlowPackedClient(host, port, log, delay=0.5)
+            return PackedClient(host, port, log)
+
+        pairs = [(5, i) for i in range(SIZES[5])]
+        started = time.monotonic()
+        with make_router(factory, n_shards=2, metrics=registry,
+                         transport="binary", hedge_after_ms=20) as router:
+            values = router.probe_many(pairs)
+        assert time.monotonic() - started < 0.45  # nobody waited it out
+        part = make_manifest(2).partition_for(5)
+        for (db_id, index), value in zip(pairs, values):
+            assert value == encode(
+                REPLICA_BASE + int(part.owner_of(index)),
+                int(part.to_local(index)),
+            )
+        assert registry.counters["cluster.hedges"] == 2
+        assert registry.counters["cluster.hedge_wins"] == 2
         assert registry.counters.get("cluster.shard_errors", 0) == 0
 
     def test_fast_primary_never_hedges(self):

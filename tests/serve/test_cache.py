@@ -208,6 +208,21 @@ class TestPut:
         assert cache.packed_resident_bytes == 0
         assert cache.stats()["packed_resident_bytes"] == 0
 
+    def test_callable_stored_bytes_runs_only_on_a_miss(self):
+        """The paged backend hands the stored size over as a callable:
+        a hit must not pay for it, a miss accounts what it returns."""
+        cache = BlockCache(1024)
+        asked = []
+
+        def stored():
+            asked.append(True)
+            return 8
+
+        cache.get("a", _loader(1), stored_bytes=stored)
+        assert asked == [True] and cache.packed_resident_bytes == 8
+        cache.get("a", _loader(1), stored_bytes=stored)
+        assert asked == [True] and cache.hits == 1
+
     def test_packed_resident_defaults_to_working_bytes(self):
         cache = BlockCache(1024)
         cache.get("a", _loader(1))  # no stored_bytes: raw parity

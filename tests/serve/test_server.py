@@ -9,6 +9,7 @@ import pytest
 from repro.db.query import best_moves, optimal_line
 from repro.obs import MetricsRegistry
 from repro.serve.client import ProbeClient, ProbeError
+from repro.serve.ops import JsonRequestHandler
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -86,6 +87,77 @@ class TestWire:
         stats = client.stats()
         assert stats["backend"] == "paged"
         assert stats["misses"] >= 0 and "hit_rate" in stats
+
+
+class TestBatchWireFormat:
+    """The JSON batch op casts indices once, as an array, on the server;
+    what travels and what comes back on an error stay what they were."""
+
+    def test_request_bytes(self):
+        """Tuples, lists, numpy integers and iterators all travel as the
+        documented ``[[db, index], ...]`` of plain JSON numbers."""
+        payloads = []
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                while True:
+                    head = conn.recv(4, socket.MSG_WAITALL)
+                    if not head:
+                        return
+                    payloads.append(
+                        conn.recv(int.from_bytes(head, "big"),
+                                  socket.MSG_WAITALL)
+                    )
+                    send_message(conn, {"ok": True, "values": [0, 0]})
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with ProbeClient(*listener.getsockname()) as c:
+                c.probe_many([(5, 0), (5, 1)])
+                c.probe_many([[5, np.int64(0)], (5, np.int32(1))])
+                c.probe_many(iter([(5, 0), (5, 1)]))
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+        assert payloads == [
+            b'{"op":"probe_many","positions":[[5,0],[5,1]]}'
+        ] * 3
+
+    def test_answer_and_error_messages(self, served):
+        _, dbs, server = served
+        handler = JsonRequestHandler(server.service)
+
+        def ask(positions):
+            return handler.handle({"op": "probe_many", "positions": positions})
+
+        answer = ask([[5, 0], [5, "1"], [4, 2.0]])
+        assert answer == {
+            "ok": True,
+            "values": [int(dbs[5][0]), int(dbs[5][1]), int(dbs[4][2])],
+        }
+        assert all(type(v) is int for v in answer["values"])
+        assert ask([]) == {"ok": True, "values": []}
+        n = dbs[5].shape[0]
+        for positions, error in [
+            ([[5]], "ValueError: not enough values to unpack "
+                    "(expected 2, got 1)"),
+            ([[5, "x"]], "ValueError: invalid literal for int() with base "
+                         "10: 'x'"),
+            ([[5, None]], "TypeError: int() argument must be a string, a "
+                          "bytes-like object or a real number, not "
+                          "'NoneType'"),
+            (7, "TypeError: 'int' object is not iterable"),
+            ([[5, n]], f"IndexError: index {n} out of range for db 5 "
+                       f"({n} positions)"),
+        ]:
+            assert ask(positions) == {"ok": False, "error": error}
+        assert ask([[99, 0]])["error"].startswith(
+            "KeyError: 'database 99 not present"
+        )
 
 
 class TestErrors:

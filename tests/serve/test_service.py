@@ -15,10 +15,21 @@ from repro.db.query import best_moves, evaluate_moves, optimal_line
 from repro.db.search import DatabaseProbingSearch
 from repro.obs import MetricsRegistry
 from repro.serve.cache import BlockCache
-from repro.serve.pagedstore import PagedStore, write_paged
-from repro.serve.service import MemoryBackend, PagedBackend, ProbeService
+from repro.db.store import DatabaseSet
+from repro.serve.pagedstore import CODECS, PagedStore, write_paged
+from repro.serve.service import (
+    MemoryBackend,
+    PagedBackend,
+    ProbeService,
+    split_positions,
+)
 
-from .conftest import BLOCK_POSITIONS, SMALL_BUDGET, make_service
+from .conftest import (
+    BLOCK_POSITIONS,
+    SMALL_BUDGET,
+    make_service,
+    paged_store_path,
+)
 
 
 class TestDifferential:
@@ -60,6 +71,110 @@ class TestDifferential:
         top = dbs.ids()[-1]
         mid = dbs[top].shape[0] // 2
         assert service.probe(top, mid) == int(dbs[top][mid]), kind
+
+
+def scrambled_pairs(dbs, seed, per_db=40):
+    """A shuffled cross-database batch with duplicates in it."""
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (db_id, int(i))
+        for db_id in dbs.ids()
+        for i in rng.integers(0, dbs[db_id].shape[0], size=per_db)
+    ]
+    pairs += pairs[::7]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.fixture(params=["memory", *CODECS])
+def any_service(request, solved, tmp_path_factory):
+    """A service over the memory backend or a paged store of one of the
+    four codecs, cache far smaller than the store."""
+    name, _, dbs = solved
+    if request.param == "memory":
+        service = ProbeService.from_database_set(dbs)
+    else:
+        service = ProbeService.from_paged(
+            paged_store_path(name, tmp_path_factory, codec=request.param),
+            cache_bytes=SMALL_BUDGET,
+        )
+    with service:
+        yield service
+
+
+class TestBatchPathsAgree:
+    """``probe_many(list)`` is ``probe_packed`` after one split, and
+    both are one ``probe`` per position."""
+
+    def test_list_packed_and_scalar_paths_agree(self, solved, any_service):
+        _, _, dbs = solved
+        pairs = scrambled_pairs(dbs, seed=13)
+        one_by_one = [any_service.probe(d, i) for d, i in pairs]
+        assert one_by_one == [int(dbs[d][i]) for d, i in pairs]
+        listed = any_service.probe_many(pairs)
+        packed = any_service.probe_packed(*split_positions(pairs))
+        assert listed.dtype == packed.dtype == np.int16
+        assert listed.tolist() == packed.tolist() == one_by_one
+        # An iterator is as good as a list.
+        assert any_service.probe_many(iter(pairs)).tolist() == one_by_one
+
+    def test_empty_single_and_duplicate_batches(self, solved, any_service):
+        _, _, dbs = solved
+        top = dbs.ids()[-1]
+        last = dbs[top].shape[0] - 1
+        assert any_service.probe_many([]).shape == (0,)
+        assert any_service.probe_packed(*split_positions([])).shape == (0,)
+        assert any_service.probe_many([(top, last)]).tolist() == [
+            int(dbs[top][last])
+        ]
+        repeated = [(top, last), (top, 0), (top, last), (top, last)]
+        assert any_service.probe_many(repeated).tolist() == [
+            int(dbs[d][i]) for d, i in repeated
+        ]
+
+    def test_string_database_ids(self, solved, tmp_path):
+        """Ids that are text split, group and gather like the integer
+        ones."""
+        _, _, dbs = solved
+        named = DatabaseSet(
+            game_name=dbs.game_name, rules=dbs.rules,
+            values={f"level-{i}": dbs[i] for i in dbs.ids()},
+        )
+        path = tmp_path / "named.pgdb"
+        write_paged(named, path, block_positions=BLOCK_POSITIONS)
+        pairs = scrambled_pairs(named, seed=17, per_db=25)
+        expected = [int(named[d][i]) for d, i in pairs]
+        for service in (
+            ProbeService.from_database_set(named),
+            ProbeService.from_paged(path, cache_bytes=SMALL_BUDGET),
+        ):
+            with service:
+                assert service.probe_many(pairs).tolist() == expected
+                assert service.probe_packed(
+                    *split_positions(pairs)
+                ).tolist() == expected
+                assert [
+                    service.probe(d, i) for d, i in pairs
+                ] == expected
+
+    def test_one_cache_lookup_per_distinct_block(
+        self, awari_solved, awari_paged_path
+    ):
+        """However scrambled and repetitive the batch, the paged backend
+        asks the cache once per distinct (database, block) in it."""
+        _, dbs = awari_solved
+        with ProbeService.from_paged(awari_paged_path) as service:
+            cache = service.backend.cache
+            for seed in range(5):
+                pairs = scrambled_pairs(dbs, seed=seed)
+                distinct = {(d, i // BLOCK_POSITIONS) for d, i in pairs}
+                for ask in (
+                    lambda: service.probe_many(pairs),
+                    lambda: service.probe_packed(*split_positions(pairs)),
+                ):
+                    before = cache.hits + cache.misses
+                    ask()
+                    assert cache.hits + cache.misses - before == len(distinct)
 
 
 class TestResidentBytes:
