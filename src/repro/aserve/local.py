@@ -40,7 +40,8 @@ from ..serve.pagedstore import PagedStore
 from ..serve.service import (
     DEFAULT_CACHE_BYTES,
     PagedBackend,
-    check_range,
+    gather_resident,
+    one_database,
     split_positions,
 )
 
@@ -194,36 +195,35 @@ class LocalProbeClient:
 
     # ---------------------------------------------------------------- probes
 
-    def _gather(self, db_id, indices: np.ndarray) -> np.ndarray:
-        check_range(db_id, indices, self._store.positions(db_id))
-        if self._arrays is not None:
-            return self._arrays[db_id][indices]
-        return self._paged.gather(db_id, indices)
+    def _gather_packed(self, directory, db_slots, indices) -> np.ndarray:
+        """The service's batch gather: the paged backend's in
+        block-cache mode, the in-memory one over the mapped (or
+        unpacked) arrays otherwise."""
+        if self._arrays is None:
+            return self._paged.gather_packed(directory, db_slots, indices)
+        return gather_resident(
+            self._arrays, self._store.positions, directory, db_slots, indices
+        )
 
     def probe(self, db_id, index: int) -> int:
         """Exact value of one position."""
         self._metrics.inc("probes")
-        idx = np.asarray([index], dtype=np.int64)
-        return int(self._gather(db_id, idx)[0])
+        return int(self._gather_packed(*one_database(db_id, [index]))[0])
 
     def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]`` in request order."""
         directory, db_slots, indices = split_positions(positions)
         self._metrics.inc("batches")
         self._metrics.inc("probes", int(indices.shape[0]))
-        out = np.empty(indices.shape[0], dtype=np.int16)
-        for slot, db_id in enumerate(directory):
-            mask = db_slots == slot
-            out[mask] = self._gather(db_id, indices[mask])
-        return out
+        return self._gather_packed(directory, db_slots, indices)
 
     def probe_array(self, db_id, indices) -> np.ndarray:
         """Vectorized single-database batch (the zero-copy fast lane:
-        for raw stores this is one fancy-index over the mapping)."""
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        for raw stores the gather is a fancy-index over the mapping)."""
+        packed = one_database(db_id, indices)
         self._metrics.inc("batches")
-        self._metrics.inc("probes", int(indices.shape[0]))
-        return self._gather(db_id, indices)
+        self._metrics.inc("probes", int(packed[2].shape[0]))
+        return self._gather_packed(*packed)
 
     def depth_of(self, db_id, index: int):
         """Distances are not paged; always ``None`` (same contract as
@@ -269,7 +269,12 @@ class LocalProbeClient:
         if self._closed:
             return
         self._closed = True
-        self._arrays = None  # views into the mapping must die before it
+        if self._arrays is not None:
+            # Views into the mapping must die before it — emptied, not
+            # just dropped: the traceback of a refused batch still holds
+            # the dict.
+            self._arrays.clear()
+        self._arrays = None
         self._mm.close()
         self._store.close()
 

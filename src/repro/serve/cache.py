@@ -15,10 +15,12 @@ threads missing the same block do one store read, and the budget can
 never be overshot by concurrent loads); that matches the serialization
 the paged backend previously imposed externally, so the ~170k probes/s
 JSON path pays the same lock it always did, just one layer down.
-Re-entrancy (``get`` → ``put`` → ``_evict``) is why the lock is an
-``RLock``.  Contended acquisitions are counted (``lock_contended``) via
-a non-blocking probe before the blocking acquire, giving operators a
-direct gauge of cache serialization pressure.
+Re-entrancy (a loader that itself consults the cache) is why the lock
+is an ``RLock``.  Contended acquisitions are counted
+(``lock_contended``) via a non-blocking probe before the blocking
+acquire, giving operators a direct gauge of cache serialization
+pressure.  A probe batch takes the lock once, not once per block:
+``get_many`` is a run of ``get``s under a single acquisition.
 
 Byte accounting under compressed codecs: the budget counts
 **decompressed working bytes** (``block.nbytes`` of the arrays probes
@@ -101,9 +103,54 @@ class BlockCache:
             block = loader()
             if callable(stored_bytes):
                 stored_bytes = stored_bytes()
-            self.put(key, block, stored_bytes)
+            self._insert(key, block, stored_bytes)
+            self._publish()
             return block
         finally:
+            self._lock.release()
+
+    def get_many(self, keys, load, stored_bytes=None) -> list:
+        """``[get(k, lambda: load(k), lambda: stored_bytes(k)) for k in
+        keys]`` under **one** lock acquisition.
+
+        Exactly that: the same LRU order, the same hits, misses,
+        evictions and peak, loads single-flight under the lock, and
+        ``stored_bytes`` (``None`` or a callable taking the key) asked
+        only on a miss.  What a batch saves is the per-key lock
+        round-trip, metric calls and gauge publish — the registry
+        counters are bumped and the gauges published once, on the way
+        out, also when a load raises (the keys before it stay counted,
+        as with sequential ``get``s).
+        """
+        self._acquire()
+        hits = misses = 0
+        try:
+            lookup = self._blocks.get
+            touch = self._blocks.move_to_end
+            found = []
+            for key in keys:
+                entry = lookup(key)
+                if entry is not None:
+                    touch(key)
+                    hits += 1
+                    found.append(entry[0])
+                    continue
+                misses += 1
+                block = load(key)
+                self._insert(
+                    key, block,
+                    None if stored_bytes is None else stored_bytes(key),
+                )
+                found.append(block)
+            return found
+        finally:
+            self.hits += hits
+            self.misses += misses
+            if hits:
+                self._metrics.inc("hits", hits)
+            if misses:
+                self._metrics.inc("misses", misses)
+                self._publish()
             self._lock.release()
 
     def put(self, key, block, stored_bytes=None) -> None:
@@ -114,19 +161,9 @@ class BlockCache:
         puts of one key never inflate ``resident_bytes`` (the
         double-counting regression the cache tests pin).
         """
-        stored = int(block.nbytes) if stored_bytes is None else int(stored_bytes)
         self._acquire()
         try:
-            old = self._blocks.pop(key, None)
-            if old is not None:
-                self.resident_bytes -= int(old[0].nbytes)
-                self.packed_resident_bytes -= old[1]
-            self._blocks[key] = (block, stored)
-            self.resident_bytes += int(block.nbytes)
-            self.packed_resident_bytes += stored
-            if self.resident_bytes > self.peak_resident_bytes:
-                self.peak_resident_bytes = self.resident_bytes
-            self._evict()
+            self._insert(key, block, stored_bytes)
             self._publish()
         finally:
             self._lock.release()
@@ -190,7 +227,7 @@ class BlockCache:
         The non-blocking probe fails only when another thread holds the
         lock (re-entrant acquisition by the owner always succeeds), so
         ``lock_contended`` counts real cross-thread serialization, not
-        ``get`` → ``put`` recursion.
+        a loader's recursion into the cache.
         """
         if self._lock.acquire(blocking=False):
             return
@@ -198,16 +235,32 @@ class BlockCache:
         self.lock_contended += 1
         self._metrics.inc("lock_contended")
 
-    def _evict(self) -> None:  # holds-lock: self._lock
+    def _insert(self, key, block, stored_bytes) -> None:  # holds-lock: self._lock
+        """The one place an entry enters the cache: replace, account,
+        raise the peak, evict.  Gauges are the caller's to publish."""
+        nbytes = int(block.nbytes)
+        stored = nbytes if stored_bytes is None else int(stored_bytes)
+        old = self._blocks.pop(key, None)
+        if old is not None:
+            self.resident_bytes -= int(old[0].nbytes)
+            self.packed_resident_bytes -= old[1]
+        self._blocks[key] = (block, stored)
+        self.resident_bytes += nbytes
+        self.packed_resident_bytes += stored
+        if self.resident_bytes > self.peak_resident_bytes:
+            self.peak_resident_bytes = self.resident_bytes
         # Never evict the newest entry: a budget smaller than one block
         # still has to hold the block being probed (the "+ one block"
         # slack in the resident-bytes guarantee).
+        evicted = 0
         while self.resident_bytes > self.budget_bytes and len(self._blocks) > 1:
-            _, (victim, stored) = self._blocks.popitem(last=False)
+            _, (victim, victim_stored) = self._blocks.popitem(last=False)
             self.resident_bytes -= int(victim.nbytes)
-            self.packed_resident_bytes -= stored
-            self.evictions += 1
-            self._metrics.inc("evictions")
+            self.packed_resident_bytes -= victim_stored
+            evicted += 1
+        if evicted:
+            self.evictions += evicted
+            self._metrics.inc("evictions", evicted)
 
     def _publish(self) -> None:  # holds-lock: self._lock
         self._metrics.set_gauge("resident_bytes", self.resident_bytes)

@@ -40,7 +40,7 @@ Per-block codecs (``CODECS``):
 from __future__ import annotations
 
 import json
-import threading
+import os
 import zlib
 from pathlib import Path
 
@@ -208,9 +208,10 @@ class _BlockTable:
 class PagedStore:
     """Random-access reader over one paged file.
 
-    Reads are thread-safe (a lock serializes seek+read on the shared
-    handle), which is what lets the TCP server probe one store from many
-    client threads.  The store itself holds **no** decoded data —
+    Reads are thread-safe (each is one positional ``os.pread``, which
+    neither moves nor depends on the shared handle's offset), which is
+    what lets the TCP server probe one store from many client threads
+    without a lock.  The store itself holds **no** decoded data —
     callers that want reuse put a :class:`~repro.serve.cache.BlockCache`
     in front of :meth:`read_block`.
     """
@@ -218,7 +219,6 @@ class PagedStore:
     def __init__(self, path):
         self.path = Path(path)
         self._file = open(self.path, "rb")
-        self._lock = threading.Lock()
         magic = self._file.read(len(_MAGIC))
         if magic != _MAGIC:
             self._file.close()
@@ -314,6 +314,11 @@ class PagedStore:
         """Stored (encoded) byte size of one block, as on disk."""
         return self.block_span(db_id, block_no)[1]
 
+    def block_sizes(self, db_id) -> list:
+        """Stored byte size of every block of one database, by block
+        number (the store's own table: read it, do not change it)."""
+        return self._table(db_id).clens
+
     def _table(self, db_id) -> _BlockTable:
         try:
             return self._tables[db_id]
@@ -345,31 +350,24 @@ class PagedStore:
         return values
 
     def read_block(self, db_id, block_no: int) -> np.ndarray:
-        """Read one block: a seek plus one block decode (zlib stream,
-        bulk bit-unpack, or a bare copy for ``codec="raw"``), O(block)."""
-        table = self._table(db_id)
-        if not (0 <= block_no < table.n_blocks):
-            raise IndexError(
-                f"block {block_no} out of range for db {db_id!r} "
-                f"({table.n_blocks} blocks)"
-            )
-        offset = self._data_start + table.offsets[block_no]
-        clen = table.clens[block_no]
-        with self._lock:
-            self._file.seek(offset)
-            payload = self._file.read(clen)
+        """Read one block: one positional read plus one block decode
+        (zlib stream, bulk bit-unpack, or a bare copy for
+        ``codec="raw"``), O(block)."""
+        relative, clen, count = self.block_span(db_id, block_no)
+        offset = self._data_start + relative
+        payload = os.pread(self._file.fileno(), clen, offset)
         if len(payload) != clen:
             raise IOError(f"short read in {self.path} at offset {offset}")
         try:
-            values = self.decode_block(payload, table.counts[block_no])
+            values = self.decode_block(payload, count)
         except ValueError as exc:
             raise IOError(
                 f"block {block_no} of db {db_id!r} failed to decode: {exc}"
             ) from exc
-        if values.shape[0] != table.counts[block_no]:
+        if values.shape[0] != count:
             raise IOError(
                 f"block {block_no} of db {db_id!r} decoded "
-                f"{values.shape[0]} values, expected {table.counts[block_no]}"
+                f"{values.shape[0]} values, expected {count}"
             )
         return values
 

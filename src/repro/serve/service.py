@@ -34,7 +34,8 @@ from .cache import BlockCache
 from .pagedstore import PagedStore
 
 __all__ = ["MemoryBackend", "PagedBackend", "ProbeService",
-           "check_range", "split_positions"]
+           "batch_sizes", "check_range", "gather_resident", "one_database",
+           "split_positions"]
 
 #: Default cache budget for paged serving: 64 MiB.
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
@@ -64,6 +65,14 @@ def split_positions(positions) -> tuple:
     return directory, db_slots, np.array(indices, dtype=np.int64)
 
 
+def one_database(db_id, indices) -> tuple:
+    """``indices`` of a single database as the ``(directory, db_slots,
+    indices)`` of a batch — how the scalar and one-database calls reach
+    the one batch gather."""
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    return [db_id], np.zeros(indices.shape[0], dtype=np.intp), indices
+
+
 def check_range(db_id, idx: np.ndarray, n: int) -> None:
     """Raise :class:`IndexError` naming the first index of ``idx``
     outside ``[0, n)``, the database and its size."""
@@ -72,6 +81,55 @@ def check_range(db_id, idx: np.ndarray, n: int) -> None:
         raise IndexError(
             f"index {bad} out of range for db {db_id!r} ({n} positions)"
         )
+
+
+def batch_sizes(positions_of, directory, db_slots, indices) -> tuple:
+    """Validate a whole batch before anything is looked up.
+
+    Returns ``(slots, sizes, used)``: the slots widened to int64 (wire
+    slots are ``<u2``; a composite key formed in that width would
+    wrap), each referenced database's position count by slot, and the
+    referenced slots as an ascending list.  ``positions_of`` is asked only
+    about databases a probe references.
+
+    A refused batch raises what answering it database by database, in
+    slot order, used to raise — same type, same message, same database
+    named — but *before* any block is loaded, so it leaves a cache
+    exactly as it found it.
+    """
+    slots = np.asarray(db_slots).astype(np.int64, copy=False)
+    if int(slots.max()) >= len(directory) or int(slots.min()) < 0:
+        raise KeyError("probe references a db slot beyond the directory")
+    used = np.bincount(slots, minlength=len(directory)).nonzero()[0].tolist()
+    sizes = np.zeros(len(directory), dtype=np.int64)
+    try:
+        for slot in used:
+            sizes[slot] = positions_of(directory[slot])
+    except KeyError:
+        in_range = False
+    else:
+        in_range = int(indices.min()) >= 0 and bool(
+            (indices < sizes[slots]).all()
+        )
+    if not in_range:
+        for slot in used:
+            db_id = directory[slot]
+            check_range(db_id, indices[slots == slot], positions_of(db_id))
+    return slots, sizes, used
+
+
+def gather_resident(arrays, positions_of, directory, db_slots, indices):
+    """The batch gather over whole arrays in memory: validate
+    (:func:`batch_sizes`), then one take per database referenced.
+    ``arrays[db_id]`` is that database's value array."""
+    out = np.empty(indices.shape[0], dtype=np.int16)
+    if not out.shape[0]:
+        return out
+    slots, _, used = batch_sizes(positions_of, directory, db_slots, indices)
+    for slot in used:
+        mask = slots == slot
+        out[mask] = arrays[directory[slot]][indices[mask]]
+    return out
 
 
 class MemoryBackend:
@@ -99,8 +157,11 @@ class MemoryBackend:
     def positions(self, db_id) -> int:
         return int(self._dbs[db_id].shape[0])
 
-    def gather(self, db_id, indices: np.ndarray) -> np.ndarray:
-        return self._dbs[db_id][indices]
+    def gather_packed(self, directory, db_slots, indices) -> np.ndarray:
+        """Values of ``directory[db_slots[i]]`` at ``indices[i]``."""
+        return gather_resident(
+            self._dbs, self.positions, directory, db_slots, indices
+        )
 
     def depth_of(self, db_id, index: int):
         return self._dbs.depth_of(db_id, index)
@@ -146,40 +207,80 @@ class PagedBackend:
     def positions(self, db_id) -> int:
         return self._store.positions(db_id)
 
-    def gather(self, db_id, indices: np.ndarray) -> np.ndarray:
-        block_positions = self._store.block_positions
-        if not indices.shape[0]:
-            return np.empty(0, dtype=np.int16)
-        blocks = indices // block_positions
-        if blocks.shape[0] > 1 and np.any(np.diff(blocks) < 0):
-            # Direct callers may pass unsorted indices; the probe
-            # service's batched paths arrive locality-sorted and skip
-            # this re-sort.
-            order = np.argsort(indices, kind="stable")
-            out = np.empty(indices.shape[0], dtype=np.int16)
-            out[order] = self.gather(db_id, indices[order])
-            return out
-        # Blocks are non-decreasing: each distinct block is one
-        # contiguous run, so the gather is one cache hit plus one slice
-        # per block instead of a boolean mask over the whole batch.
-        out = np.empty(indices.shape[0], dtype=np.int16)
-        offsets = indices - blocks * block_positions
-        run_bounds = (np.flatnonzero(np.diff(blocks)) + 1).tolist()
-        starts = [0, *run_bounds]
-        stops = [*run_bounds, blocks.shape[0]]
+    def gather(self, db_id, indices) -> np.ndarray:
+        """Values of one database at ``indices`` (any order)."""
+        return self.gather_packed(*one_database(db_id, indices))
+
+    def gather_packed(self, directory, db_slots, indices) -> np.ndarray:
+        """Values of ``directory[db_slots[i]]`` at ``indices[i]``: one
+        validation, one sort, one pass through the cache, one take.
+
+        The batch is validated whole (:func:`batch_sizes`), sorted once
+        on the composite ``(db slot, block)`` key so every distinct
+        block is one contiguous run, and the runs are looked up with
+        :meth:`BlockCache.get_many` — exactly one cache lookup per
+        distinct (database, block), in storage order.  The blocks are
+        laid end to end and every probe is answered by one fancy-index
+        take, scattered back to request order.
+
+        The run list is walked in windows of as many blocks as fit the
+        cache budget, so however large the batch, a request pins at
+        most one budget of blocks and one budget of copy beside the
+        cache's own budget plus one block.
+        """
         store, cache = self._store, self._cache
-        # The cache serializes itself (BlockCache holds its RLock across
-        # the miss loader), so block loads stay single-flight without an
-        # extra backend lock on the hit path; a hit runs neither lambda.
-        for a, b, block_no in zip(starts, stops, blocks[starts].tolist()):
-            values = cache.get(
-                (db_id, block_no),
-                lambda n=block_no: store.read_block(db_id, n),
-                stored_bytes=lambda n=block_no: store.stored_block_bytes(
-                    db_id, n
-                ),
-            )
-            out[a:b] = values[offsets[a:b]]
+        total = indices.shape[0]
+        out = np.empty(total, dtype=np.int16)
+        if not total:
+            return out
+        slots, sizes, used = batch_sizes(
+            self.positions, directory, db_slots, indices
+        )
+        block_positions = store.block_positions
+        blocks, offsets = np.divmod(indices, block_positions)
+        stride = int(sizes.max()) // block_positions + 1
+        composite = slots * stride + blocks
+        order = composite.argsort(kind="stable")
+        composite = composite[order]
+        offsets = offsets[order]
+        starts_run = np.empty(total, dtype=bool)
+        starts_run[0] = True
+        np.not_equal(composite[1:], composite[:-1], out=starts_run[1:])
+        run_of = starts_run.cumsum()  # sorted probe -> its run, from 0
+        run_of -= 1
+        run_slot, run_block = np.divmod(composite[starts_run], stride)
+        keys = list(zip(
+            [directory[slot] for slot in run_slot.tolist()],
+            run_block.tolist(),
+        ))
+        stored_of = {
+            directory[slot]: store.block_sizes(directory[slot])
+            for slot in used
+        }
+
+        def load(key):
+            return store.read_block(*key)
+
+        def stored_bytes(key):
+            return stored_of[key[0]][key[1]]
+
+        window = max(
+            1, cache.budget_bytes // (block_positions * store.dtype.itemsize)
+        )
+        b = 0
+        for lo in range(0, len(keys), window):
+            found = cache.get_many(keys[lo:lo + window], load, stored_bytes)
+            # Sorted probes [a, b) are the ones these runs answer.
+            a, b = b, int(run_of.searchsorted(lo + len(found)))
+            if len(found) == 1:
+                out[order[a:b]] = found[0][offsets[a:b]]
+                continue
+            lengths = np.fromiter(map(len, found), dtype=np.int64,
+                                  count=len(found))
+            base = lengths.cumsum() - lengths  # where each block begins
+            out[order[a:b]] = np.concatenate(found)[
+                base[run_of[a:b] - lo] + offsets[a:b]
+            ]
         return out
 
     def depth_of(self, db_id, index: int):
@@ -260,9 +361,9 @@ class ProbeService:
     def probe(self, db_id, index: int) -> int:
         """Exact value of position ``index`` of database ``db_id``."""
         self._metrics.inc("probes")
-        idx = np.asarray([index], dtype=np.int64)
-        check_range(db_id, idx, self._backend.positions(db_id))
-        return int(self._backend.gather(db_id, idx)[0])
+        return int(
+            self._backend.gather_packed(*one_database(db_id, [index]))[0]
+        )
 
     def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]``, in request order.
@@ -274,54 +375,25 @@ class ProbeService:
         return self.probe_packed(*split_positions(positions))
 
     def probe_array(self, db_id, indices) -> np.ndarray:
-        """Vectorized ``probe_many`` over one database.
-
-        Bit-identical to ``probe_many([(db_id, i) for i in indices])``
-        but with no per-position Python work: the batch is locality-
-        sorted with ``argsort``, gathered in one backend call per block
-        run, and scattered back to request order.  This is the binary
-        server's hot path.
-        """
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self._metrics.inc("batches")
-        self._metrics.inc("probes", int(indices.shape[0]))
-        return self._gather_sorted(db_id, indices)
+        """Vectorized ``probe_many`` over one database: bit-identical to
+        ``probe_many([(db_id, i) for i in indices])``, with no
+        per-position Python work."""
+        return self.probe_packed(*one_database(db_id, indices))
 
     def probe_packed(self, directory, db_slots, indices) -> np.ndarray:
         """Vectorized mixed-database batch: probe ``i`` targets database
         ``directory[db_slots[i]]`` at position ``indices[i]``.
 
         The binary wire format of :mod:`repro.aserve.frames` decodes
-        straight into these parallel arrays; grouping per database and
-        the locality sort are all numpy, so a 64k-probe frame costs a
-        handful of Python-level operations, not 64k.
+        straight into these parallel arrays, and the backend answers
+        them whole (``gather_packed``: validate, one locality sort, one
+        cache pass, one take), so a 64k-probe frame costs a handful of
+        Python-level operations, not 64k.
         """
-        db_slots = np.asarray(db_slots)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         self._metrics.inc("batches")
         self._metrics.inc("probes", int(indices.shape[0]))
-        out = np.empty(indices.shape[0], dtype=np.int16)
-        if not indices.shape[0]:
-            return out
-        if int(db_slots.max()) >= len(directory) or int(db_slots.min()) < 0:
-            raise KeyError("probe references a db slot beyond the directory")
-        for slot, db_id in enumerate(directory):
-            mask = db_slots == slot
-            if mask.any():
-                out[mask] = self._gather_sorted(db_id, indices[mask])
-        return out
-
-    def _gather_sorted(self, db_id, indices: np.ndarray) -> np.ndarray:
-        """Range-check, locality-sort, gather, restore request order."""
-        check_range(db_id, indices, self._backend.positions(db_id))
-        if indices.shape[0] <= 1:
-            return self._backend.gather(db_id, indices).astype(
-                np.int16, copy=False
-            )
-        order = np.argsort(indices, kind="stable")
-        out = np.empty(indices.shape[0], dtype=np.int16)
-        out[order] = self._backend.gather(db_id, indices[order])
-        return out
+        return self._backend.gather_packed(directory, db_slots, indices)
 
     def depth_of(self, db_id, index: int):
         """Distance for one position, ``None`` when not available."""

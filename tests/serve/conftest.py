@@ -11,6 +11,8 @@ without hand-rolled loops.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.serve.service import ProbeService
@@ -25,6 +27,34 @@ from tests.workloads import (  # noqa: F401 — re-exported for the suite
 #: Cache budget used in the differential sweeps: two blocks' worth of
 #: int16 values — far smaller than any solved database in the fixtures.
 SMALL_BUDGET = 2 * BLOCK_POSITIONS * 2
+
+
+#: Threads in the serving stress tests (more than this box has cores).
+N_THREADS = 6
+
+
+def run_threads(worker, n=N_THREADS):
+    """Run ``worker(thread_index)`` on ``n`` threads behind a barrier;
+    re-raise the first failure."""
+    barrier = threading.Barrier(n)
+    failures = []
+
+    def wrapped(i):
+        try:
+            barrier.wait(timeout=30)
+            worker(i)
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=wrapped, args=(i,), daemon=True)
+               for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads), "stress thread hung"
+    if failures:
+        raise failures[0]
 
 
 @pytest.fixture(scope="session", params=sorted(GAMES), ids=sorted(GAMES))

@@ -260,6 +260,14 @@ class TestLocalMmap:
                 client.probe(top, dbs[top].shape[0])
             with pytest.raises(KeyError):
                 client.probe(max(dbs.ids()) + 40, 0)
+            # A mixed batch is refused whole, naming the offender as
+            # the scalar probe does.
+            with pytest.raises(IndexError) as refused:
+                client.probe_many([(dbs.ids()[0], 0), (top, -1)])
+            assert str(refused.value) == (
+                f"index -1 out of range for db {top!r} "
+                f"({dbs[top].shape[0]} positions)"
+            )
 
     def test_fast_path_mode_per_codec(self, local_store):
         """raw maps zero-copy, packed bulk-unpacks once, the zlib-family

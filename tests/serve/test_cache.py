@@ -3,6 +3,8 @@ counters matching an oracle replay, and the obs gauge contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.serve.cache import BlockCache
@@ -235,3 +237,76 @@ class TestPut:
         cache.get("c", _loader(3), stored_bytes=4)  # evicts a
         assert cache.evictions == 1
         assert cache.packed_resident_bytes == 8
+
+
+class TestGetMany:
+    """``get_many(keys)`` is ``[get(k) for k in keys]`` under one lock."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        budget=st.sampled_from([0, 8, 31, 32, 64, 100, 160, 10_000]),
+        batches=st.lists(
+            st.lists(st.integers(0, 9), max_size=12), min_size=1, max_size=6
+        ),
+        with_stored=st.booleans(),
+    )
+    def test_equals_sequential_gets_on_a_twin(
+        self, budget, batches, with_stored
+    ):
+        """Random keys with repeats, block sizes that vary by key and
+        budgets from 0 through "less than one block" to "everything
+        fits": same objects, same LRU order, same counters."""
+        blocks = {key: _block(key, n=4 * (1 + key % 4)) for key in range(10)}
+        asked = {"many": [], "one": []}
+
+        def stored(side, key):
+            asked[side].append(key)
+            return 3 + key
+
+        registry = MetricsRegistry()
+        many = BlockCache(budget, metrics=registry.scoped("serve.cache"))
+        one = BlockCache(budget)
+        for keys in batches:
+            got = many.get_many(
+                keys, blocks.__getitem__,
+                (lambda k: stored("many", k)) if with_stored else None,
+            )
+            want = [
+                one.get(
+                    k, lambda k=k: blocks[k],
+                    (lambda k=k: stored("one", k)) if with_stored else None,
+                )
+                for k in keys
+            ]
+            assert len(got) == len(want)
+            assert all(g is w for g, w in zip(got, want))
+            assert many.keys() == one.keys()
+            assert many.stats() == one.stats()
+        # The stored size is asked for on misses only, in miss order.
+        assert asked["many"] == asked["one"]
+        assert len(asked["many"]) == (many.misses if with_stored else 0)
+        counters = registry.counters
+        assert counters.get("serve.cache.hits", 0) == many.hits
+        assert counters.get("serve.cache.misses", 0) == many.misses
+        assert counters.get("serve.cache.evictions", 0) == many.evictions
+        gauges = registry.gauges
+        assert gauges["serve.cache.resident_bytes"] == many.resident_bytes
+        assert gauges["serve.cache.resident_blocks"] == len(many)
+
+    def test_a_failed_load_keeps_the_keys_before_it_counted(self):
+        """As with sequential gets: the lookups before the failure
+        happened and are counted, the failed one is a counted miss that
+        inserted nothing, and the lock is free again."""
+        cache = BlockCache(1024)
+        cache.put("a", _block(1))
+
+        def load(key):
+            if key == "bad":
+                raise IOError("no such block")
+            return _block(2)
+
+        with pytest.raises(IOError):
+            cache.get_many(["a", "b", "bad", "c"], load)
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert cache.keys() == ["a", "b"]
+        assert cache.get_many(["a"], load)[0] is cache.get("a", None)

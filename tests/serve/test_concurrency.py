@@ -17,20 +17,18 @@ count is *exact*, not merely plausible:
 * byte gauges equal the arithmetic over the actual resident set.
 """
 
-import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.serve.cache import BlockCache
 from repro.serve.server import ProbeServer
-from repro.serve.service import ProbeService
+from repro.serve.service import ProbeService, split_positions
 from repro.serve.client import ProbeClient
 
-from tests.serve.conftest import SMALL_BUDGET
+from tests.serve.conftest import N_THREADS, SMALL_BUDGET, run_threads
 from tests.workloads import BLOCK_POSITIONS
-
-N_THREADS = 6
 
 
 @pytest.fixture(autouse=True)
@@ -44,30 +42,6 @@ def aggressive_thread_switching():
     sys.setswitchinterval(previous)
 
 
-def run_threads(worker, n=N_THREADS):
-    """Run ``worker(thread_index)`` on ``n`` threads behind a barrier;
-    re-raise the first failure."""
-    barrier = threading.Barrier(n)
-    failures = []
-
-    def wrapped(i):
-        try:
-            barrier.wait(timeout=30)
-            worker(i)
-        except BaseException as exc:  # noqa: BLE001 — reported below
-            failures.append(exc)
-
-    threads = [threading.Thread(target=wrapped, args=(i,), daemon=True)
-               for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-    assert not any(t.is_alive() for t in threads), "stress thread hung"
-    if failures:
-        raise failures[0]
-
-
 class TestBlockCacheUnderContention:
     BLOCK_WORDS = 32  # int16 -> 64 bytes per block
     BLOCK_BYTES = BLOCK_WORDS * 2
@@ -79,6 +53,10 @@ class TestBlockCacheUnderContention:
         cache = BlockCache(budget)
 
         def loader():
+            # Give up the GIL under the cache lock, as a real loader's
+            # file read and zlib decode do: without it, whether two
+            # threads ever meet at the lock is up to the scheduler.
+            time.sleep(0)
             return np.zeros(self.BLOCK_WORDS, dtype=np.int16)
 
         def worker(i):
@@ -165,6 +143,67 @@ class TestBlockCacheUnderContention:
         assert cache.packed_resident_bytes == sum(
             stored for _, stored in resident
         )
+
+
+class TestBatchGatherUnderContention:
+    """N threads of ``probe_packed`` against one service whose cache
+    holds two blocks: every batch takes the cache lock once per window
+    and loads, evicts and gathers while five other threads do the same."""
+
+    BATCHES = 25
+    BATCH_SIZE = 60
+
+    def test_answers_and_accounting_stay_exact(
+        self, awari_solved, awari_paged_path
+    ):
+        _, dbs = awari_solved
+        ids = dbs.ids()
+        plans, lookups = [], 0
+        for seed in range(N_THREADS):
+            rng = np.random.default_rng(seed)
+            batches = []
+            for _ in range(self.BATCHES):
+                pairs = [
+                    (int(d), int(rng.integers(0, dbs[int(d)].shape[0])))
+                    for d in rng.choice(ids, size=self.BATCH_SIZE)
+                ]
+                lookups += len({(d, i // BLOCK_POSITIONS) for d, i in pairs})
+                batches.append((
+                    split_positions(pairs),
+                    np.array([dbs[d][i] for d, i in pairs], dtype=np.int16),
+                ))
+            plans.append(batches)
+
+        with ProbeService.from_paged(
+            awari_paged_path, cache_bytes=SMALL_BUDGET
+        ) as service:
+            cache = service.backend.cache
+
+            def worker(i):
+                for packed, expected in plans[i]:
+                    np.testing.assert_array_equal(
+                        service.probe_packed(*packed), expected
+                    )
+                    assert cache.stats()["resident_bytes"] <= (
+                        SMALL_BUDGET + 2 * BLOCK_POSITIONS
+                    )
+
+            run_threads(worker)
+
+            # One lookup per distinct (db, block) of each batch, each
+            # exactly one hit or one miss, whatever the interleaving.
+            assert cache.hits + cache.misses == lookups
+            assert len(cache) == cache.misses - cache.evictions
+            resident = list(cache._blocks.values())
+            assert cache.resident_bytes == sum(
+                int(b.nbytes) for b, _ in resident
+            )
+            assert cache.packed_resident_bytes == sum(
+                stored for _, stored in resident
+            )
+            assert cache.peak_resident_bytes <= (
+                SMALL_BUDGET + 2 * BLOCK_POSITIONS
+            )
 
 
 class TestLiveServerStress:

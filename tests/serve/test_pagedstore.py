@@ -10,7 +10,7 @@ import pytest
 from repro.db.store import DatabaseSet
 from repro.serve.pagedstore import SCHEMA, PagedStore, write_paged
 
-from .conftest import BLOCK_POSITIONS
+from .conftest import BLOCK_POSITIONS, run_threads
 
 
 @pytest.fixture()
@@ -52,6 +52,32 @@ class TestRoundTrip:
                     store.read_block(db_id, last),
                     dbs[db_id][last * BLOCK_POSITIONS :],
                 )
+
+
+    def test_reads_are_positional(self, paged):
+        """``read_block`` neither moves nor depends on the handle's file
+        offset, so threads share one store without a lock: every block,
+        read from six threads at once in different orders, is right."""
+        dbs, path, _ = paged
+        with PagedStore(path) as store:
+            blocks = [(db_id, b) for db_id in store.ids()
+                      for b in range(store.n_blocks(db_id))]
+            assert store.block_sizes(blocks[-1][0]) == [
+                store.stored_block_bytes(blocks[-1][0], b)
+                for b in range(store.n_blocks(blocks[-1][0]))
+            ]
+
+            def worker(i):
+                rng = np.random.default_rng(i)
+                for k in rng.permutation(len(blocks)):
+                    db_id, b = blocks[k]
+                    np.testing.assert_array_equal(
+                        store.read_block(db_id, b),
+                        dbs[db_id][b * BLOCK_POSITIONS:
+                                   (b + 1) * BLOCK_POSITIONS],
+                    )
+
+            run_threads(worker)
 
 
 class TestAddressing:
@@ -108,6 +134,19 @@ class TestFormatContract:
         with PagedStore(path) as store:
             with pytest.raises((zlib.error, IOError)):
                 store.read_all(0)
+
+    def test_truncated_file_is_a_short_read(self, tmp_path):
+        dbs = DatabaseSet(
+            game_name="awari",
+            values={0: np.arange(10, dtype=np.int16)},
+        )
+        path = tmp_path / "short.pgdb"
+        write_paged(dbs, path, block_positions=4, codec="raw")
+        path.write_bytes(path.read_bytes()[:-1])
+        with PagedStore(path) as store:
+            np.testing.assert_array_equal(store.read_block(0, 0), [0, 1, 2, 3])
+            with pytest.raises(IOError, match="short read"):
+                store.read_block(0, 2)
 
     def test_bad_block_positions_rejected(self, tmp_path):
         dbs = DatabaseSet(game_name="awari", values={0: np.zeros(1, np.int16)})

@@ -157,6 +157,42 @@ class TestBatchPathsAgree:
                     service.probe(d, i) for d, i in pairs
                 ] == expected
 
+    def test_gather_packed_is_one_scalar_probe_per_position(
+        self, solved, any_service
+    ):
+        """The backend's batch gather on an awkward batch — mixed
+        databases, unsorted, duplicates, first and last position of
+        every database (the short tail blocks), and wire-width ``<u2``
+        slots behind enough unreferenced directory entries that
+        ``slot * stride`` in that width would wrap — equals one scalar
+        ``probe`` per position, for one cache lookup per distinct
+        (database, block)."""
+        _, _, dbs = solved
+        pairs = scrambled_pairs(dbs, seed=29, per_db=20)
+        for db_id in dbs.ids():
+            pairs += [(db_id, 0), (db_id, dbs[db_id].shape[0] - 1)]
+        expected = [any_service.probe(d, i) for d, i in pairs]
+        assert expected == [int(dbs[d][i]) for d, i in pairs]
+        directory, slots, indices = split_positions(pairs)
+        padding = [f"absent-{n}" for n in range(40_000)]
+        wire_slots = (slots + len(padding)).astype("<u2")
+        backend = any_service.backend
+        cache = getattr(backend, "cache", None)
+        before = cache.hits + cache.misses if cache else 0
+        got = backend.gather_packed(padding + directory, wire_slots, indices)
+        assert got.dtype == np.int16 and got.tolist() == expected
+        if cache:
+            distinct = {(d, i // BLOCK_POSITIONS) for d, i in pairs}
+            assert cache.hits + cache.misses - before == len(distinct)
+        # The same through the service, and the degenerate batches.
+        assert any_service.probe_packed(
+            padding + directory, wire_slots, indices
+        ).tolist() == expected
+        for count in (0, 1):
+            assert backend.gather_packed(
+                padding + directory, wire_slots[:count], indices[:count]
+            ).tolist() == expected[:count]
+
     def test_one_cache_lookup_per_distinct_block(
         self, awari_solved, awari_paged_path
     ):
@@ -225,6 +261,52 @@ class TestResidentBytes:
         assert n_blocks > 2  # budget genuinely smaller than the database
         assert cache.misses == n_blocks
         service.close()
+
+
+class TestWindowedCachePass:
+    def test_no_window_exceeds_the_budget(self, awari_solved, awari_paged_path):
+        """A batch over far more blocks than the cache holds is walked
+        in windows of at most ``budget // block`` blocks: the request
+        never pins more decoded blocks than the budget, and the cache
+        keeps its budget-plus-one-block bound."""
+        _, dbs = awari_solved
+        block_bytes = BLOCK_POSITIONS * 2
+        cache = BlockCache(2 * block_bytes)
+        handed = []
+        get_many = cache.get_many
+
+        def spy(keys, *args):
+            handed.append(len(keys))
+            return get_many(keys, *args)
+
+        cache.get_many = spy
+        top = dbs.ids()[-1]
+        n = dbs[top].shape[0]
+        with ProbeService(
+            PagedBackend(PagedStore(awari_paged_path), cache)
+        ) as service:
+            n_blocks = service.backend.store.n_blocks(top)
+            assert n_blocks > 50
+            indices = np.random.default_rng(31).permutation(n)
+            got = service.probe_array(top, indices)
+        np.testing.assert_array_equal(got, dbs[top][indices])
+        assert sum(handed) == n_blocks == cache.misses
+        assert max(handed) <= 2 and len(handed) == -(-n_blocks // 2)
+        assert cache.peak_resident_bytes <= 2 * block_bytes + block_bytes
+
+    def test_budget_below_one_block_walks_block_by_block(
+        self, awari_solved, awari_paged_path
+    ):
+        _, dbs = awari_solved
+        pairs = scrambled_pairs(dbs, seed=37)
+        with ProbeService.from_paged(awari_paged_path, cache_bytes=0) as service:
+            got = service.probe_many(pairs)
+            cache = service.backend.cache
+            assert got.tolist() == [int(dbs[d][i]) for d, i in pairs]
+            # The newest block is never evicted, so one stays resident
+            # while the next one loads: two blocks at the peak.
+            assert len(cache) == 1
+            assert cache.peak_resident_bytes <= 2 * (2 * BLOCK_POSITIONS)
 
 
 class TestBestMoves:
@@ -333,6 +415,52 @@ class TestErrors:
             with pytest.raises(KeyError):
                 service.probe(99, 0)
             service.close()
+
+    def test_refused_batch_names_what_the_scalar_path_names(
+        self, awari_solved, awari_paged_path
+    ):
+        """A batch is validated whole, in slot order, with the scalar
+        path's own errors: the first offending database is named, and a
+        paged cache is left exactly as it was — no block of the valid
+        databases ahead of the bad one was loaded or evicted."""
+        _, dbs = awari_solved
+        size = {d: dbs[d].shape[0] for d in dbs.ids()}
+        good = [(3, i) for i in range(0, size[3], 7)]
+        refused = [
+            # (batch, error, message)
+            (good + [(5, 1), (5, size[5])], IndexError,
+             f"index {size[5]} out of range for db 5 ({size[5]} positions)"),
+            (good + [(5, -1), (4, size[4] + 9)], IndexError,
+             f"index -1 out of range for db 5 ({size[5]} positions)"),
+            (good + [(5, size[5] + 1), (99, 0)], IndexError,
+             f"index {size[5] + 1} out of range for db 5 "
+             f"({size[5]} positions)"),
+        ]
+        for kind in ("memory", "paged"):
+            with make_service(kind, dbs, awari_paged_path) as service:
+                with pytest.raises(KeyError) as unknown:
+                    service.probe(99, 0)
+                refused_here = refused + [
+                    (good + [(99, 0), (5, -1)], KeyError,
+                     str(unknown.value)),
+                ]
+                service.probe_many(good)  # something resident to lose
+                cache = getattr(service.backend, "cache", None)
+                before = (cache.stats(), cache.keys()) if cache else None
+                for batch, error, message in refused_here:
+                    with pytest.raises(error) as caught:
+                        service.probe_many(batch)
+                    assert str(caught.value) == message, kind
+                directory, slots, indices = split_positions(good)
+                for bad_slots in (slots + 1, slots - 1):
+                    with pytest.raises(KeyError, match="beyond the directory"):
+                        service.probe_packed(directory, bad_slots, indices)
+                if cache:
+                    assert (cache.stats(), cache.keys()) == before, kind
+                # An unknown id nobody references is never looked up.
+                assert service.probe_packed(
+                    [*directory, 99], slots, indices
+                ).tolist() == [int(dbs[d][i]) for d, i in good]
 
     def test_empty_batch(self, awari_solved, awari_paged_path):
         game, dbs = awari_solved
