@@ -5,8 +5,8 @@ parent's owner) is its own message, and the fixed per-message software
 overhead plus per-frame wire overhead swamp the computation.  The
 combining layer keeps one buffer per destination processor, appends
 updates until the buffer holds ``capacity`` of them, and ships the whole
-buffer as a single packet.  Buffers are force-flushed when the worker
-runs out of local work so no update can be stranded (deadlock freedom;
+buffer as a single packet.  Partial buffers are force-flushed after a
+short idle linger, so no update can be stranded (deadlock freedom;
 termination detection counts packets, not updates).
 
 ``capacity=1`` degenerates to the naive one-message-per-update algorithm
@@ -64,7 +64,10 @@ class CombiningStats:
 
 
 class CombiningBuffers:
-    """Per-destination update buffers for one worker."""
+    """Per-destination update buffers for one worker: row ``d`` of two
+    ``(n_dest, width)`` arrays holds ``pending(d)`` updates.  The arrays
+    exist only while something is pending and ``width`` doubles on
+    demand, so a drained worker or a huge capacity costs nothing extra."""
 
     def __init__(self, n_dest: int, capacity: int):
         if capacity < 1:
@@ -73,78 +76,77 @@ class CombiningBuffers:
             raise ValueError("need at least one destination")
         self.capacity = int(capacity)
         self.n_dest = int(n_dest)
-        self._positions: list[list[np.ndarray]] = [[] for _ in range(n_dest)]
-        self._kinds: list[list[np.ndarray]] = [[] for _ in range(n_dest)]
-        self._counts = np.zeros(n_dest, dtype=np.int64)
+        self._width = min(self.capacity, 1024)
+        self._positions = self._kinds = None
+        self._fill = [0] * n_dest
         self.stats = CombiningStats()
 
     def pending(self, dest: int) -> int:
-        return int(self._counts[dest])
+        return self._fill[dest]
 
     @property
     def total_pending(self) -> int:
-        return int(self._counts.sum())
+        return sum(self._fill)
 
     def append(self, dest_of: np.ndarray, positions: np.ndarray, kinds: np.ndarray):
         """Buffer a batch of updates, yielding ``(dest, packet)`` for every
-        buffer that reaches capacity.
-
-        The batch is split by destination with one vectorized pass.
-        """
+        buffer that reaches capacity.  One stable argsort groups the batch;
+        each group is copied into its row as one slice."""
         dest_of = np.asarray(dest_of, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
         kinds = np.asarray(kinds, dtype=np.uint8)
         if not (dest_of.shape == positions.shape == kinds.shape):
             raise ValueError("mismatched update batch arrays")
-        if dest_of.shape[0] == 0:
+        n = dest_of.shape[0]
+        if n == 0:
             return []
-        self.stats.updates += int(dest_of.shape[0])
-        order = np.argsort(dest_of, kind="stable")
-        sorted_dest = dest_of[order]
-        bounds = np.flatnonzero(np.diff(sorted_dest)) + 1
+        self.stats.updates += n
+        order = dest_of.argsort(kind="stable")
+        dest_of, positions, kinds = dest_of[order], positions[order], kinds[order]
+        cuts = ((dest_of[1:] != dest_of[:-1]).nonzero()[0] + 1).tolist()
+        starts = [0, *cuts]
+        if self._positions is None:
+            self._positions = np.empty((self.n_dest, self._width), dtype=np.int64)
+            self._kinds = np.empty((self.n_dest, self._width), dtype=np.uint8)
         ready = []
-        for chunk_idx, chunk_pos in zip(
-            np.split(sorted_dest, bounds), np.split(order, bounds)
-        ):
-            dest = int(chunk_idx[0])
-            self._positions[dest].append(positions[chunk_pos])
-            self._kinds[dest].append(kinds[chunk_pos])
-            self._counts[dest] += chunk_pos.shape[0]
-            while self._counts[dest] >= self.capacity:
-                ready.append((dest, self._pop(dest, self.capacity)))
-                self.stats.capacity_flushes += 1
+        for dest, a, b in zip(dest_of[starts].tolist(), starts, [*cuts, n]):
+            fill = self._fill[dest]
+            end = fill + b - a
+            if end > self._width:
+                extra = max(end, 2 * self._width) - self._width
+                self._width += extra
+                self._positions = np.pad(self._positions, ((0, 0), (0, extra)))
+                self._kinds = np.pad(self._kinds, ((0, 0), (0, extra)))
+            self._positions[dest, fill:end] = positions[a:b]
+            self._kinds[dest, fill:end] = kinds[a:b]
+            self._fill[dest] = end
+            if end >= self.capacity:
+                ready += self._pop(dest, end - end % self.capacity)
+        self.stats.capacity_flushes += len(ready)
         return ready
 
-    def _pop(self, dest: int, limit: int) -> UpdatePacket:
-        pos = np.concatenate(self._positions[dest])
-        kin = np.concatenate(self._kinds[dest])
-        take = min(limit, pos.shape[0])
-        packet = UpdatePacket(positions=pos[:take].copy(), kinds=kin[:take].copy())
-        rest_p, rest_k = pos[take:], kin[take:]
-        self._positions[dest] = [rest_p] if rest_p.size else []
-        self._kinds[dest] = [rest_k] if rest_k.size else []
-        self._counts[dest] = rest_p.shape[0]
-        self.stats.packets += 1
-        return packet
-
-    def flush_fullest(self):
-        """Force-flush the single fullest buffer (incremental drain).
-
-        Called one buffer per idle step: if remote updates refill the
-        frontier in the meantime, the remaining buffers keep combining
-        instead of being scattered as near-empty packets.
-        """
-        if self.total_pending == 0:
-            return []
-        dest = int(np.argmax(self._counts))
-        self.stats.forced_flushes += 1
-        return [(dest, self._pop(dest, self.capacity))]
+    def _pop(self, dest: int, stop: int) -> list:
+        """Ship ``dest``'s first ``stop`` updates (one row-slice copy) as
+        packets of up to ``capacity``; the rest moves to the row's front."""
+        fill, cap = self._fill[dest], self.capacity
+        pos, kin = self._positions[dest, :stop].copy(), self._kinds[dest, :stop].copy()
+        self._positions[dest, : fill - stop] = self._positions[dest, stop:fill]
+        self._kinds[dest, : fill - stop] = self._kinds[dest, stop:fill]
+        self._fill[dest] = fill - stop
+        packets = [
+            (dest, UpdatePacket(positions=pos[a : a + cap], kinds=kin[a : a + cap]))
+            for a in range(0, stop, cap)
+        ]
+        self.stats.packets += len(packets)
+        return packets
 
     def flush_all(self):
-        """Drain every non-empty buffer (end-of-phase safety net)."""
+        """Drain every buffer (the worker's idle linger has expired) and
+        release the storage until the next append."""
         ready = []
         for dest in range(self.n_dest):
-            while self._counts[dest] > 0:
-                ready.append((dest, self._pop(dest, self.capacity)))
-                self.stats.forced_flushes += 1
+            if self._fill[dest]:
+                ready += self._pop(dest, self._fill[dest])
+        self.stats.forced_flushes += len(ready)
+        self._positions = self._kinds = None
         return ready

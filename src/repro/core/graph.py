@@ -64,7 +64,7 @@ class CSR:
 
     @staticmethod
     def from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> "CSR":
-        """Build CSR from an edge list (counting sort, O(E))."""
+        """Build CSR from an edge list (bincount offsets, stable argsort)."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         counts = np.bincount(src, minlength=n)

@@ -36,6 +36,7 @@ __all__ = [
     "RAProblem",
     "RAResult",
     "solve_kernel",
+    "sort_runs",
     "threshold_init",
     "csr_provider",
     "unmove_provider",
@@ -117,6 +118,16 @@ def unmove_provider(game, db_id) -> PredecessorProvider:
     return provider
 
 
+def sort_runs(values: np.ndarray):
+    """Sort ``values`` in place; return its distinct values and run lengths."""
+    values.sort()
+    is_bound = np.empty(values.shape[0] + 1, dtype=bool)
+    is_bound[0] = is_bound[-1] = True
+    np.not_equal(values[1:], values[:-1], out=is_bound[1:-1])
+    bounds = is_bound.nonzero()[0]
+    return values[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
 def solve_kernel(problem: RAProblem, record_rounds: bool = False) -> RAResult:
     """Run retrograde propagation to its least fixpoint.
 
@@ -155,13 +166,8 @@ def solve_kernel(problem: RAProblem, record_rounds: bool = False) -> RAResult:
 
         # Every other child is a WIN and burns one escape option of its
         # parent: sorted, each parent is one run as long as its decrement.
-        dec_parents = parents[~loss_children]
-        dec_parents.sort()
-        is_bound = np.ones(dec_parents.shape[0] + 1, dtype=bool)
-        np.not_equal(dec_parents[1:], dec_parents[:-1], out=is_bound[1:-1])
-        bounds = is_bound.nonzero()[0]
-        zeroed = dec_parents[bounds[:-1]]
-        counts[zeroed] -= bounds[1:] - bounds[:-1]
+        zeroed, decrements = sort_runs(parents[~loss_children])
+        counts[zeroed] -= decrements
         new_loss = zeroed[
             (counts[zeroed] == 0)
             & (status[zeroed] == UNKNOWN)

@@ -10,7 +10,7 @@ sequential solver's — the simulation changes *when* things happen, never
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class ParallelConfig:
     ethernet: EthernetConfig = field(default_factory=EthernetConfig)
     #: Optional per-node slowdown factors (heterogeneous pool ablation).
     node_speeds: tuple | None = None
-
-    def without_combining(self) -> "ParallelConfig":
-        """The naive one-message-per-update baseline."""
-        return replace(self, combining_capacity=1)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from ...simnet.costs import CostModel
 from ...simnet.rts import Actor, Context, Message
 from ..combining import CombiningBuffers
 from ..graph import DatabaseGraph
+from ..kernel import sort_runs
 from ..partition import Partition
 from ..termination import SafraState, Token
 from ..values import LOSS, UNKNOWN, WIN
@@ -126,9 +127,13 @@ class RAWorker(Actor):
         self.out_degree = graph.out_degree[self.own_global].astype(np.int32)
         self.values = np.zeros(self.n_local, dtype=np.int16)
         # Per-threshold propagation state, all levels live at once (row 0
-        # unused; thresholds are 1-based).
+        # unused; thresholds are 1-based), updated through ravelled views.
         self.status = np.zeros((bound + 1, self.n_local), dtype=np.uint8)
         self.counts = np.zeros((bound + 1, self.n_local), dtype=np.int32)
+        self.loss_eligible = self.best_exit <= -np.arange(bound + 1)[:, None]
+        self._flat_status = self.status.reshape(-1)
+        self._flat_counts = self.counts.reshape(-1)
+        self._flat_loss_eligible = self.loss_eligible.reshape(-1)
 
         #: Frontier of freshly finalized (threshold, local slots) batches.
         self.frontier: deque = deque()
@@ -181,8 +186,7 @@ class RAWorker(Actor):
         self._timer_armed = False
         if self.phase != _PHASE_RUN or self.frontier:
             return
-        if self.buffers.total_pending:
-            self._send_packets(ctx, self.buffers.flush_all())
+        self._send_packets(ctx, self.buffers.flush_all())
         if self.safra.held_token is not None:
             self._dispose_token(ctx, self.safra.release())
         if (
@@ -307,7 +311,7 @@ class RAWorker(Actor):
         degree0 = self.out_degree == 0
         for t in range(1, self.bound + 1):
             win0 = self.best_exit >= t
-            loss0 = (self.best_exit <= -t) & degree0
+            loss0 = self.loss_eligible[t] & degree0
             row = self.status[t]
             row[win0] = WIN
             row[loss0] = LOSS
@@ -386,64 +390,56 @@ class RAWorker(Actor):
             self.frontier.appendleft((threshold, slots[self.config.work_batch :]))
             slots = slots[: self.config.work_batch]
         children_global = self.own_global[slots]
-        kinds = (self.status[threshold][slots] == LOSS).astype(np.uint8)
+        loss_child = self.status[threshold][slots] == LOSS  # parents can win
         child_row, parents_global = self._predecessors(children_global)
         ctx.charge(
             slots.shape[0] * self.config.costs.threshold_init_position
             + parents_global.shape[0] * self._generate_cost()
         )
         ctx.stats.bump("updates_generated", int(parents_global.shape[0]))
-        if parents_global.size == 0:
-            return
-        packed = pack_kind(np.full(child_row.shape[0], threshold), kinds[child_row])
+        win = loss_child[child_row]
         owners = self.partition.owner_of(parents_global)
         local = owners == self.rank
-        if local.any():
-            self._apply_updates(
-                ctx,
-                self.partition.to_local(parents_global[local]),
-                packed[local],
-            )
-            ctx.stats.bump("updates_local", int(local.sum()))
-        remote = ~local
-        if remote.any():
-            ready = self.buffers.append(
-                owners[remote], parents_global[remote], packed[remote]
-            )
+        n_here = int(np.count_nonzero(local))
+        if n_here:
+            flat = self.partition.to_local(parents_global[local])
+            self._apply_updates(ctx, flat + threshold * self.n_local, win[local])
+            ctx.stats.bump("updates_local", n_here)
+        if n_here < local.shape[0]:
+            remote = ~local
+            ready = self.buffers.append(owners[remote], parents_global[remote],
+                                        pack_kind(threshold, win[remote]))
             self._send_packets(ctx, ready)
 
-    def _apply_updates(self, ctx: Context, slots: np.ndarray, packed: np.ndarray):
-        """Apply a batch of updates to owned positions (vectorized; WIN
-        notifications take priority over counter exhaustion, mirroring the
-        sequential kernel)."""
-        ctx.charge(slots.shape[0] * self.config.costs.update_apply)
-        ctx.stats.bump("updates_applied", int(slots.shape[0]))
-        thresholds, kinds = unpack_kind(packed)
-        for t in np.unique(thresholds):
-            sel = thresholds == t
-            self._apply_threshold(int(t), slots[sel], kinds[sel])
+    def _apply_updates(self, ctx: Context, flat: np.ndarray, win: np.ndarray):
+        """Apply updates at ``flat = threshold * n_local + slot`` (``win``:
+        from a LOSS child) in one pass over all their thresholds.  WINs take
+        priority over counter exhaustion, mirroring the sequential kernel."""
+        ctx.charge(flat.shape[0] * self.config.costs.update_apply)
+        ctx.stats.bump("updates_applied", int(flat.shape[0]))
+        status, counts = self._flat_status, self._flat_counts
+        new_win = sort_runs(flat[win])[0]
+        new_win = new_win[status[new_win] == UNKNOWN]
+        status[new_win] = WIN
+        zeroed, decrements = sort_runs(flat[~win])
+        counts[zeroed] -= decrements
+        new_loss = zeroed[
+            (counts[zeroed] == 0)
+            & (status[zeroed] == UNKNOWN)
+            & self._flat_loss_eligible[zeroed]
+        ]
+        status[new_loss] = LOSS
+        if new_win.shape[0] or new_loss.shape[0]:
+            self._extend_frontier(new_win, new_loss)
 
-    def _apply_threshold(self, t: int, slots: np.ndarray, kinds: np.ndarray):
-        status = self.status[t]
-        counts = self.counts[t]
-        win_slots = slots[kinds == KIND_WIN]
-        if win_slots.size:
-            new_win = np.unique(win_slots[status[win_slots] == UNKNOWN])
-            if new_win.size:
-                status[new_win] = WIN
-                self.frontier.append((t, new_win))
-        dec_slots = slots[kinds == KIND_DEC]
-        if dec_slots.size:
-            np.subtract.at(counts, dec_slots, 1)
-            zeroed = np.unique(dec_slots)
-            new_loss = zeroed[
-                (counts[zeroed] == 0)
-                & (status[zeroed] == UNKNOWN)
-                & (self.best_exit[zeroed] <= -t)
-            ]
-            if new_loss.size:
-                status[new_loss] = LOSS
-                self.frontier.append((t, new_loss))
+    def _extend_frontier(self, new_win: np.ndarray, new_loss: np.ndarray):
+        """Queue sorted flat indices by threshold, ascending, WINs first."""
+        n = self.n_local
+        for t in sorted({*(new_win // n).tolist(), *(new_loss // n).tolist()}):
+            for done in (new_win, new_loss):
+                a, b = done.searchsorted((t * n, t * n + n)).tolist()
+                if a < b:
+                    self.frontier.append((t, done[a:b] - t * n))
 
     def _send_packets(self, ctx: Context, ready) -> None:
         for dest, packet in ready:
@@ -454,10 +450,10 @@ class RAWorker(Actor):
 
     def _msg_update(self, ctx: Context, msg: Message) -> None:
         self.safra.on_app_receive()
-        packet = msg.payload
-        self._apply_updates(
-            ctx, self.partition.to_local(packet.positions), packet.kinds
-        )
+        thresholds, kinds = unpack_kind(msg.payload.kinds)
+        flat = self.partition.to_local(msg.payload.positions)
+        flat += thresholds.astype(np.int64) * self.n_local
+        self._apply_updates(ctx, flat, kinds == KIND_WIN)
 
     # --------------------------------------------------------- termination
 

@@ -1,11 +1,18 @@
 """Unit tests: message-combining buffers and Safra termination state."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.combining import UPDATE_BYTES, CombiningBuffers
+from repro.core.combining import (
+    UPDATE_BYTES,
+    CombiningBuffers,
+    CombiningStats,
+    UpdatePacket,
+)
 from repro.core.termination import BLACK, WHITE, SafraState, Token
 
 
@@ -52,20 +59,6 @@ class TestCombiningBuffers:
         assert len(ready) == 3
         assert buf.total_pending == 0
 
-    def test_flush_fullest_picks_max(self):
-        buf = CombiningBuffers(n_dest=3, capacity=100)
-        buf.append(
-            np.array([0, 1, 1, 1, 2]), np.arange(5), np.zeros(5, dtype=np.uint8)
-        )
-        ready = buf.flush_fullest()
-        assert len(ready) == 1
-        assert ready[0][0] == 1
-        assert buf.total_pending == 2
-
-    def test_flush_fullest_empty(self):
-        buf = CombiningBuffers(n_dest=3, capacity=10)
-        assert buf.flush_fullest() == []
-
     def test_capacity_one_is_naive_mode(self):
         buf = CombiningBuffers(n_dest=2, capacity=1)
         ready = buf.append(
@@ -90,22 +83,101 @@ class TestCombiningBuffers:
         with pytest.raises(ValueError):
             buf.append(np.array([1]), np.array([1, 2]), np.zeros(2, dtype=np.uint8))
 
-    @given(st.lists(st.integers(0, 7), min_size=0, max_size=200), st.integers(1, 50))
-    @settings(max_examples=60, deadline=None)
-    def test_no_update_lost_or_duplicated(self, dests, capacity):
-        """Conservation: every appended update appears in exactly one
-        packet, in per-destination FIFO order."""
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 7), min_size=0, max_size=120),
+                st.just("flush"),
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 50),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_no_update_lost_or_duplicated(self, ops, capacity):
+        """Appends interleaved with flushes ship exactly the packets of a
+        list-of-arrays model — same destinations, contents, order and
+        statistics — so every update leaves exactly once, in
+        per-destination FIFO order."""
         buf = CombiningBuffers(n_dest=8, capacity=capacity)
-        dests = np.asarray(dests, dtype=np.int64)
-        positions = np.arange(dests.shape[0], dtype=np.int64)
-        out = buf.append(dests, positions, (positions % 2).astype(np.uint8))
-        out += buf.flush_all()
-        seen = {}
-        for dest, packet in out:
-            seen.setdefault(dest, []).extend(packet.positions.tolist())
-        for d in range(8):
-            expected = positions[dests == d].tolist()
-            assert seen.get(d, []) == expected
+        model = _ListOfArraysBuffers(n_dest=8, capacity=capacity)
+        got, want, sent = [], [], 0
+        for op in ops + ["flush"]:
+            if op == "flush":
+                got += buf.flush_all()
+                want += model.flush_all()
+                continue
+            dests = np.asarray(op, dtype=np.int64)
+            positions = np.arange(sent, sent + dests.shape[0], dtype=np.int64)
+            kinds = (positions * 7 % 5).astype(np.uint8)
+            sent += dests.shape[0]
+            got += buf.append(dests, positions, kinds)
+            want += model.append(dests, positions, kinds)
+            assert buf.total_pending == sum(model.counts)
+        assert [
+            (d, p.positions.tolist(), p.kinds.tolist(), p.positions.dtype, p.kinds.dtype)
+            for d, p in got
+        ] == [
+            (d, p.positions.tolist(), p.kinds.tolist(), p.positions.dtype, p.kinds.dtype)
+            for d, p in want
+        ]
+        assert buf.stats == model.stats
+        assert buf.total_pending == 0
+        assert sorted(u for _, p in got for u in p.positions.tolist()) == list(range(sent))
+
+    def test_huge_capacity_allocates_only_what_is_buffered(self):
+        tracemalloc.start()
+        try:
+            buf = CombiningBuffers(n_dest=64, capacity=10**6)
+            buf.append(np.arange(1000) % 64, np.arange(1000), np.zeros(1000, dtype=np.uint8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 64 x 10^6 x 9 bytes up front would be 576 MB
+        assert buf.total_pending == 1000
+        assert buf.flush_all()[0][1].n_updates == 16
+
+
+class _ListOfArraysBuffers:
+    """Reference model: each destination's pending updates as a list of
+    arrays, concatenated and cut whenever a packet leaves."""
+
+    def __init__(self, n_dest, capacity):
+        self.capacity = capacity
+        self.positions = [[] for _ in range(n_dest)]
+        self.kinds = [[] for _ in range(n_dest)]
+        self.counts = [0] * n_dest
+        self.stats = CombiningStats()
+
+    def append(self, dest_of, positions, kinds):
+        self.stats.updates += len(dest_of)
+        ready = []
+        for dest in sorted(set(dest_of.tolist())):
+            sel = dest_of == dest
+            self.positions[dest].append(positions[sel])
+            self.kinds[dest].append(kinds[sel])
+            self.counts[dest] += int(sel.sum())
+            while self.counts[dest] >= self.capacity:
+                ready.append((dest, self._pop(dest)))
+                self.stats.capacity_flushes += 1
+        return ready
+
+    def _pop(self, dest):
+        pos = np.concatenate(self.positions[dest])
+        kin = np.concatenate(self.kinds[dest])
+        take = min(self.capacity, pos.shape[0])
+        self.positions[dest], self.kinds[dest] = [pos[take:]], [kin[take:]]
+        self.counts[dest] = pos.shape[0] - take
+        self.stats.packets += 1
+        return UpdatePacket(positions=pos[:take], kinds=kin[:take])
+
+    def flush_all(self):
+        ready = []
+        for dest in range(len(self.counts)):
+            while self.counts[dest] > 0:
+                ready.append((dest, self._pop(dest)))
+                self.stats.forced_flushes += 1
+        return ready
 
 
 class TestSafra:

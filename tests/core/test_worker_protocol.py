@@ -1,13 +1,28 @@
 """Edge cases of the distributed worker protocol."""
 
+from collections import deque
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.combining import UpdatePacket
 from repro.core.parallel.driver import ParallelConfig, ParallelSolver
-from repro.core.parallel.worker import WorkerConfig
+from repro.core.parallel.worker import (
+    KIND_DEC,
+    KIND_WIN,
+    RAWorker,
+    WorkerConfig,
+    pack_kind,
+)
+from repro.core.partition import CyclicPartition
 from repro.core.sequential import SequentialSolver
+from repro.core.values import LOSS, UNKNOWN, WIN
 from repro.games.awari_db import AwariCaptureGame
 from repro.games.synthetic import SyntheticCaptureGame
+from repro.simnet.rts import Message, NodeStats
 
 MAX_EVENTS = 3_000_000
 
@@ -132,6 +147,102 @@ class TestWorkerConfigValidation:
             ParallelSolver(game, cfg).solve_database(
                 2, {n: seq[n] for n in range(2)}
             )
+
+
+N_SLOTS = 6
+BOUND = 4
+
+
+def _reference_apply(status, counts, best_exit, frontier, slots, thresholds, kinds):
+    """The per-threshold apply the flat pass replaced: one ``np.unique``
+    over the thresholds, then per threshold WINs deduplicated by
+    ``np.unique`` and decrements by ``np.subtract.at``."""
+    for t in np.unique(thresholds):
+        t = int(t)
+        sel = thresholds == t
+        row, cnt = status[t], counts[t]
+        win_slots = slots[sel][kinds[sel] == KIND_WIN]
+        if win_slots.size:
+            new_win = np.unique(win_slots[row[win_slots] == UNKNOWN])
+            if new_win.size:
+                row[new_win] = WIN
+                frontier.append((t, new_win))
+        dec_slots = slots[sel][kinds[sel] == KIND_DEC]
+        if dec_slots.size:
+            np.subtract.at(cnt, dec_slots, 1)
+            zeroed = np.unique(dec_slots)
+            new_loss = zeroed[
+                (cnt[zeroed] == 0)
+                & (row[zeroed] == UNKNOWN)
+                & (best_exit[zeroed] <= -t)
+            ]
+            if new_loss.size:
+                row[new_loss] = LOSS
+                frontier.append((t, new_loss))
+
+
+_updates = st.lists(
+    st.tuples(
+        st.integers(1, BOUND),
+        st.integers(0, N_SLOTS - 1),
+        st.sampled_from([KIND_DEC, KIND_WIN]),
+    ),
+    max_size=30,
+)
+
+
+class TestFlatApply:
+    @given(
+        best_exit=st.lists(
+            st.integers(-BOUND - 1, 2), min_size=N_SLOTS, max_size=N_SLOTS
+        ),
+        status=st.lists(
+            st.sampled_from([UNKNOWN, UNKNOWN, WIN, LOSS]),
+            min_size=(BOUND + 1) * N_SLOTS,
+            max_size=(BOUND + 1) * N_SLOTS,
+        ),
+        counts=st.lists(
+            st.integers(0, 3),
+            min_size=(BOUND + 1) * N_SLOTS,
+            max_size=(BOUND + 1) * N_SLOTS,
+        ),
+        batches=st.lists(_updates, min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_threshold_reference(self, best_exit, status, counts, batches):
+        """Update packets with duplicates, mixed thresholds and WIN + DEC
+        on one slot leave ``status``, ``counts`` and the frontier sequence
+        exactly as the per-threshold apply did."""
+        graph = SimpleNamespace(
+            best_exit=np.asarray(best_exit, dtype=np.int16),
+            out_degree=np.zeros(N_SLOTS, dtype=np.int32),
+        )
+        worker = RAWorker(
+            0, None, None, graph, CyclicPartition(N_SLOTS, 1), BOUND, WorkerConfig()
+        )
+        shape = (BOUND + 1, N_SLOTS)
+        worker.status[...] = np.reshape(status, shape)
+        worker.counts[...] = np.reshape(counts, shape)
+        ref_status, ref_counts = worker.status.copy(), worker.counts.copy()
+        ref_frontier = deque()
+        ctx = SimpleNamespace(charge=lambda seconds: None, stats=NodeStats())
+        for batch in batches:
+            thresholds, slots, kinds = (
+                np.asarray(batch, dtype=np.int64).reshape(-1, 3).T.copy()
+            )
+            packet = UpdatePacket(positions=slots, kinds=pack_kind(thresholds, kinds))
+            worker._msg_update(ctx, Message(1, 0, "UPDATE", packet, packet.size_bytes))
+            _reference_apply(
+                ref_status, ref_counts, worker.best_exit, ref_frontier,
+                slots, thresholds, kinds,
+            )
+        np.testing.assert_array_equal(worker.status, ref_status)
+        np.testing.assert_array_equal(worker.counts, ref_counts)
+        assert [(t, s.tolist()) for t, s in worker.frontier] == [
+            (t, s.tolist()) for t, s in ref_frontier
+        ]
+        assert all(type(t) is int for t, _ in worker.frontier)
+        assert ctx.stats.counters.get("updates_applied", 0) == sum(map(len, batches))
 
 
 class TestSyntheticEdge:
