@@ -65,9 +65,9 @@ class CombiningStats:
 
 class CombiningBuffers:
     """Per-destination update buffers for one worker: row ``d`` of two
-    ``(n_dest, width)`` arrays holds ``pending(d)`` updates.  The arrays
-    exist only while something is pending and ``width`` doubles on
-    demand, so a drained worker or a huge capacity costs nothing extra."""
+    ``(n_dest, width)`` arrays holds ``pending(d)`` updates.  ``width``
+    starts at ``min(capacity, 1024)`` and doubles on demand, so a huge
+    capacity costs only what is actually buffered."""
 
     def __init__(self, n_dest: int, capacity: int):
         if capacity < 1:
@@ -77,7 +77,8 @@ class CombiningBuffers:
         self.capacity = int(capacity)
         self.n_dest = int(n_dest)
         self._width = min(self.capacity, 1024)
-        self._positions = self._kinds = None
+        self._positions = np.empty((self.n_dest, self._width), dtype=np.int64)
+        self._kinds = np.empty((self.n_dest, self._width), dtype=np.uint8)
         self._fill = [0] * n_dest
         self.stats = CombiningStats()
 
@@ -105,9 +106,6 @@ class CombiningBuffers:
         dest_of, positions, kinds = dest_of[order], positions[order], kinds[order]
         cuts = ((dest_of[1:] != dest_of[:-1]).nonzero()[0] + 1).tolist()
         starts = [0, *cuts]
-        if self._positions is None:
-            self._positions = np.empty((self.n_dest, self._width), dtype=np.int64)
-            self._kinds = np.empty((self.n_dest, self._width), dtype=np.uint8)
         ready = []
         for dest, a, b in zip(dest_of[starts].tolist(), starts, [*cuts, n]):
             fill = self._fill[dest]
@@ -141,12 +139,10 @@ class CombiningBuffers:
         return packets
 
     def flush_all(self):
-        """Drain every buffer (the worker's idle linger has expired) and
-        release the storage until the next append."""
+        """Drain every buffer (the worker's idle linger has expired)."""
         ready = []
         for dest in range(self.n_dest):
             if self._fill[dest]:
                 ready += self._pop(dest, self._fill[dest])
         self.stats.forced_flushes += len(ready)
-        self._positions = self._kinds = None
         return ready

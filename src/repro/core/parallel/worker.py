@@ -38,10 +38,10 @@ from ...simnet.costs import CostModel
 from ...simnet.rts import Actor, Context, Message
 from ..combining import CombiningBuffers
 from ..graph import DatabaseGraph
-from ..kernel import sort_runs
+from ..kernel import apply_updates, seed_thresholds
 from ..partition import Partition
 from ..termination import SafraState, Token
-from ..values import LOSS, UNKNOWN, WIN
+from ..values import LOSS, status_values
 
 __all__ = ["WorkerConfig", "RAWorker", "KIND_DEC", "KIND_WIN", "pack_kind", "unpack_kind"]
 
@@ -125,15 +125,8 @@ class RAWorker(Actor):
         # phase charges the simulated cost of producing them.
         self.best_exit = graph.best_exit[self.own_global].astype(np.int32)
         self.out_degree = graph.out_degree[self.own_global].astype(np.int32)
-        self.values = np.zeros(self.n_local, dtype=np.int16)
-        # Per-threshold propagation state, all levels live at once (row 0
-        # unused; thresholds are 1-based), updated through ravelled views.
-        self.status = np.zeros((bound + 1, self.n_local), dtype=np.uint8)
-        self.counts = np.zeros((bound + 1, self.n_local), dtype=np.int32)
-        self.loss_eligible = self.best_exit <= -np.arange(bound + 1)[:, None]
-        self._flat_status = self.status.reshape(-1)
-        self._flat_counts = self.counts.reshape(-1)
-        self._flat_loss_eligible = self.loss_eligible.reshape(-1)
+        # The kernel's (bound, n_local) state, threshold t in row t - 1.
+        self.status = self.counts = self.loss_eligible = self.values = None
 
         #: Frontier of freshly finalized (threshold, local slots) batches.
         self.frontier: deque = deque()
@@ -308,27 +301,17 @@ class RAWorker(Actor):
         self.phase = _PHASE_RUN
         self.safra.reset()
         self._token_outstanding = False
-        degree0 = self.out_degree == 0
-        for t in range(1, self.bound + 1):
-            win0 = self.best_exit >= t
-            loss0 = self.loss_eligible[t] & degree0
-            row = self.status[t]
-            row[win0] = WIN
-            row[loss0] = LOSS
-            np.copyto(self.counts[t], self.out_degree)
-            seed = np.flatnonzero(win0 | loss0)
-            if seed.size:
-                self.frontier.append((t, seed))
+        state = seed_thresholds(self.best_exit, self.out_degree, range(1, self.bound + 1))
+        self.status, self.counts, self.loss_eligible = state
+        self._flat_state = [a.reshape(-1) for a in state]
+        self._extend_frontier(np.flatnonzero(self.status))
         ctx.charge(
             self.bound * self.n_local * self.config.costs.threshold_init_position
         )
         ctx.stats.bump("thresholds_run", self.bound)
 
     def _begin_assemble(self, ctx: Context) -> None:
-        # Harvest ascending so higher thresholds overwrite lower ones.
-        for t in range(1, self.bound + 1):
-            self.values[self.status[t] == WIN] = t
-            self.values[self.status[t] == LOSS] = -t
+        self.values = status_values(self.status)
         ctx.charge(
             self.bound * self.n_local * self.config.costs.value_assemble_position
         )
@@ -390,7 +373,7 @@ class RAWorker(Actor):
             self.frontier.appendleft((threshold, slots[self.config.work_batch :]))
             slots = slots[: self.config.work_batch]
         children_global = self.own_global[slots]
-        loss_child = self.status[threshold][slots] == LOSS  # parents can win
+        loss_child = self.status[threshold - 1][slots] == LOSS  # parents win
         child_row, parents_global = self._predecessors(children_global)
         ctx.charge(
             slots.shape[0] * self.config.costs.threshold_init_position
@@ -403,7 +386,7 @@ class RAWorker(Actor):
         n_here = int(np.count_nonzero(local))
         if n_here:
             flat = self.partition.to_local(parents_global[local])
-            self._apply_updates(ctx, flat + threshold * self.n_local, win[local])
+            self._apply_updates(ctx, flat + (threshold - 1) * self.n_local, win[local])
             ctx.stats.bump("updates_local", n_here)
         if n_here < local.shape[0]:
             remote = ~local
@@ -412,34 +395,24 @@ class RAWorker(Actor):
             self._send_packets(ctx, ready)
 
     def _apply_updates(self, ctx: Context, flat: np.ndarray, win: np.ndarray):
-        """Apply updates at ``flat = threshold * n_local + slot`` (``win``:
-        from a LOSS child) in one pass over all their thresholds.  WINs take
-        priority over counter exhaustion, mirroring the sequential kernel."""
+        """Apply updates at ``flat = (threshold - 1) * n_local + slot``
+        (``win``: from a LOSS child) in one pass over all their thresholds
+        with the kernel's :func:`~repro.core.kernel.apply_updates`."""
         ctx.charge(flat.shape[0] * self.config.costs.update_apply)
         ctx.stats.bump("updates_applied", int(flat.shape[0]))
-        status, counts = self._flat_status, self._flat_counts
-        new_win = sort_runs(flat[win])[0]
-        new_win = new_win[status[new_win] == UNKNOWN]
-        status[new_win] = WIN
-        zeroed, decrements = sort_runs(flat[~win])
-        counts[zeroed] -= decrements
-        new_loss = zeroed[
-            (counts[zeroed] == 0)
-            & (status[zeroed] == UNKNOWN)
-            & self._flat_loss_eligible[zeroed]
-        ]
-        status[new_loss] = LOSS
+        new_win, new_loss = apply_updates(*self._flat_state, flat, win)
         if new_win.shape[0] or new_loss.shape[0]:
             self._extend_frontier(new_win, new_loss)
 
-    def _extend_frontier(self, new_win: np.ndarray, new_loss: np.ndarray):
-        """Queue sorted flat indices by threshold, ascending, WINs first."""
+    def _extend_frontier(self, *done: np.ndarray):
+        """Queue sorted flat indices by threshold, ascending; within a
+        threshold, the arrays in argument order (WINs before LOSSes)."""
         n = self.n_local
-        for t in sorted({*(new_win // n).tolist(), *(new_loss // n).tolist()}):
-            for done in (new_win, new_loss):
-                a, b = done.searchsorted((t * n, t * n + n)).tolist()
+        for row in sorted({r for d in done for r in (d // n).tolist()}):
+            for d in done:
+                a, b = d.searchsorted((row * n, row * n + n)).tolist()
                 if a < b:
-                    self.frontier.append((t, done[a:b] - t * n))
+                    self.frontier.append((row + 1, d[a:b] - row * n))
 
     def _send_packets(self, ctx: Context, ready) -> None:
         for dest, packet in ready:
@@ -452,7 +425,7 @@ class RAWorker(Actor):
         self.safra.on_app_receive()
         thresholds, kinds = unpack_kind(msg.payload.kinds)
         flat = self.partition.to_local(msg.payload.positions)
-        flat += thresholds.astype(np.int64) * self.n_local
+        flat += (thresholds.astype(np.int64) - 1) * self.n_local
         self._apply_updates(ctx, flat, kinds == KIND_WIN)
 
     # --------------------------------------------------------- termination

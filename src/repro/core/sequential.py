@@ -2,10 +2,10 @@
 
 This is the paper's uniprocessor baseline (the "40 hours on one machine"
 side of the headline result).  For each database in dependency order it
-builds the move graph once and runs one retrograde propagation per
-threshold ``t = 1..n``; the threshold labels are then assembled into the
-final value array (see DESIGN.md for why this decomposition is exactly
-classic win/loss RA run ``n`` times).
+builds the move graph once and makes one kernel call that propagates
+every threshold ``t = 1..n`` at once, in row ``t - 1`` of ``(n, size)``
+arrays; the values are then read off those rows (see DESIGN.md for why
+this decomposition is exactly classic win/loss RA run ``n`` times).
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import numpy as np
 
 from ..games.base import CaptureGame
 from ..obs import NULL_METRICS
-from .graph import DatabaseGraph, WorkCounters, build_database_graph
-from .kernel import RAProblem, solve_kernel, threshold_init, unmove_provider
-from .values import LOSS, WIN, assemble_values, check_nested_thresholds
+from .graph import WorkCounters, build_database_graph
+from .kernel import (
+    RAProblem, csr_provider, seed_thresholds, solve_kernel, unmove_provider
+)
+from .values import LOSS, WIN, check_nested_thresholds, status_values
 
 __all__ = ["DatabaseReport", "SolveReport", "SequentialSolver"]
 
@@ -135,30 +137,30 @@ class SequentialSolver:
             self._record(report)
             return values, report
 
-        win_sets, loss_sets = [], []
-        depths = [] if self.collect_depth else None
-        for t in range(1, bound + 1):
-            problem = threshold_init(graph, t)
-            if self.predecessor_mode == "unmove":
-                problem.predecessors = unmove_provider(self.game, db_id)
-            result = solve_kernel(problem)
-            win_sets.append(result.status == WIN)
-            loss_sets.append(result.status == LOSS)
-            if depths is not None:
-                depths.append(result.depth)
-            report.thresholds += 1
-            report.propagation_rounds += result.rounds
-            report.parent_notifications += result.parent_notifications
+        status, counts, loss_eligible = seed_thresholds(
+            graph.best_exit, graph.out_degree, range(1, bound + 1)
+        )
+        if self.predecessor_mode == "unmove":
+            predecessors = unmove_provider(self.game, db_id)
+        else:
+            predecessors = csr_provider(graph.reverse)
+        result = solve_kernel(
+            RAProblem(graph.size, status, counts, predecessors, loss_eligible),
+            record_rounds=self.collect_depth,
+        )
+        report.thresholds = bound
+        report.propagation_rounds = result.rounds
+        report.parent_notifications = result.parent_notifications
         if self.check_invariants:
-            check_nested_thresholds(win_sets, loss_sets)
-        values = assemble_values(win_sets, loss_sets)
-        if depths is not None:
-            # A position's distance comes from the threshold run that
-            # finalized it at its exact value t = |v|.
+            check_nested_thresholds(status == WIN, status == LOSS)
+        values = status_values(status)
+        if self.collect_depth:
+            # A position's distance comes from the row that finalized it
+            # at its exact value t = |v|.
+            level = np.abs(values)
+            decided = np.flatnonzero(level)
             db_depth = np.full(graph.size, -1, dtype=np.int32)
-            for t, (w, l, d) in enumerate(zip(win_sets, loss_sets, depths), 1):
-                exact = (w | l) & (np.abs(values) == t)
-                db_depth[exact] = d[exact]
+            db_depth[decided] = result.depth[level[decided] - 1, decided]
             self.depths[db_id] = db_depth
         report.wall_seconds = time.perf_counter() - t0
         self._record(report)

@@ -10,7 +10,7 @@ three states per position:
 
 For capture-difference games the objective is parameterized by a
 threshold ``t >= 1``: WIN means ``value >= t`` and LOSS means
-``value <= -t`` (see :mod:`repro.core.thresholds`).  For classic
+``value <= -t`` (see :func:`repro.core.kernel.seed_thresholds`).  For classic
 win/draw/loss games the labels are the final answer.
 """
 
@@ -23,9 +23,9 @@ __all__ = [
     "WIN",
     "LOSS",
     "NO_EXIT",
-    "status_array",
     "assemble_values",
     "check_nested_thresholds",
+    "status_values",
 ]
 
 #: Position not yet finalized (drawn if still UNKNOWN at the fixpoint).
@@ -36,13 +36,8 @@ WIN = np.uint8(1)
 LOSS = np.uint8(2)
 
 #: Sentinel for "no exit move" in best-exit arrays.  Any real exit value
-#: of an n-stone database lies in [-n, n] with n <= 48, so -128 is safe.
+#: of an n-stone database lies in [-n, n] with n <= 48, so -32768 is safe.
 NO_EXIT = np.int16(-32768)
-
-
-def status_array(size: int) -> np.ndarray:
-    """Fresh all-UNKNOWN status array."""
-    return np.zeros(size, dtype=np.uint8)
 
 
 def assemble_values(win_sets: list[np.ndarray], loss_sets: list[np.ndarray]) -> np.ndarray:
@@ -52,7 +47,7 @@ def assemble_values(win_sets: list[np.ndarray], loss_sets: list[np.ndarray]) -> 
     ``t`` (t = 1..n).  ``value = max{t : win_t}``, ``-max{t : loss_t}``,
     or 0 when the position is drawn at every threshold.
     """
-    if not win_sets:
+    if len(win_sets) == 0:
         raise ValueError("need at least one threshold")
     size = win_sets[0].shape[0]
     values = np.zeros(size, dtype=np.int16)
@@ -60,6 +55,16 @@ def assemble_values(win_sets: list[np.ndarray], loss_sets: list[np.ndarray]) -> 
     for t, (w, l) in enumerate(zip(win_sets, loss_sets), start=1):
         values[w] = t
         values[l] = -t
+    return values
+
+
+def status_values(status: np.ndarray) -> np.ndarray:
+    """:func:`assemble_values` read straight off ``(T, n)`` status rows,
+    row ``t-1`` holding threshold ``t``'s labels."""
+    values = np.zeros(status.shape[1], dtype=np.int16)
+    for t, row in enumerate(status, start=1):
+        values[row == WIN] = t
+        values[row == LOSS] = -t
     return values
 
 

@@ -19,6 +19,7 @@ Scheduling rules (all deterministic):
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -172,7 +173,9 @@ class SPMDRuntime:
         self.sim = Simulator()
         self.costs = costs
         self.ethernet = Ethernet(self.sim, self.n_nodes, ethernet_config)
-        self.ethernet.attach(self._deliver)
+        # Weak, so no runtime <-> Ethernet cycle: a finished run dies by refcount.
+        deliver = weakref.WeakMethod(self._deliver)
+        self.ethernet.attach(lambda dst, msg: deliver()(dst, msg))
         self._nodes = [_Node(r, a) for r, a in enumerate(actors)]
         self.node_stats = [NodeStats() for _ in actors]
         #: Metrics registry fed by the runtime and the Ethernet model

@@ -36,7 +36,7 @@ class TestKernelMicro:
     def test_chain_alternates(self):
         # 2 -> 1 -> 0, position 0 starts LOSS.
         problem = tiny_problem([(1, 0), (2, 1)], 3, loss0=[0])
-        res = solve_kernel(problem)
+        res = solve_kernel(problem, record_rounds=True)
         assert res.status.tolist() == [LOSS, WIN, LOSS]
         assert res.depth.tolist() == [0, 1, 2]
 
@@ -76,7 +76,7 @@ class TestKernelMicro:
         # counter at 2 and misreport 2 as a draw.
         edges = [(2, 0), (2, 0), (2, 1), (2, 1)]
         problem = tiny_problem(edges, 3, win0=[0, 1])
-        res = solve_kernel(problem)
+        res = solve_kernel(problem, record_rounds=True)
         assert res.status[2] == LOSS
         assert res.depth[2] == 1  # finalized by the first round's batch
 

@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import CSR, build_database_graph
-from repro.core.kernel import solve_kernel, threshold_init, unmove_provider
+from repro.core.kernel import (
+    RAProblem,
+    csr_provider,
+    seed_thresholds,
+    solve_kernel,
+    threshold_init,
+    unmove_provider,
+)
 from repro.core.oracle import oracle_wdl
 from repro.core.sequential import SequentialSolver
-from repro.core.values import LOSS, UNKNOWN, WIN
+from repro.core.values import LOSS, NO_EXIT, UNKNOWN, WIN
 from repro.core.wdl import build_wdl_graph, solve_wdl, wdl_problem
 from repro.games.awari_db import AwariCaptureGame
 from repro.games.loopy import LoopyGraphGame, random_loopy_game
@@ -199,10 +206,13 @@ class TestKernelInvariants:
                 assert sol.depth[moves].max() == sol.depth[p] - 1
 
 
-def _naive_rounds(successors, status0):
+def _naive_rounds(successors, status0, eligible=None):
     """Edge-at-a-time level-synchronous propagation: the reference for
-    every statistic the vectorized kernel reports, not only the labels."""
+    every statistic the vectorized kernel reports, not only the labels.
+    ``eligible[p]`` gates LOSS (default: every position may lose)."""
     n = len(successors)
+    if eligible is None:
+        eligible = [True] * n
     preds = [[] for _ in range(n)]
     for p, moves in enumerate(successors):
         for c in moves:
@@ -229,7 +239,12 @@ def _naive_rounds(successors, status0):
             if status[c] == WIN:
                 counts[p] -= 1
         for c, p in notified:
-            if status[c] == WIN and counts[p] == 0 and status[p] == UNKNOWN:
+            if (
+                status[c] == WIN
+                and counts[p] == 0
+                and status[p] == UNKNOWN
+                and eligible[p]
+            ):
                 new_loss.add(p)
         for p in new_loss:
             status[p] = int(LOSS)
@@ -243,8 +258,8 @@ def _naive_rounds(successors, status0):
 
 class TestMultigraphRounds:
     """Parallel edges, self-loops and parents notified several times in
-    one round: what the stamp dedupe and the run-length decrement of
-    ``solve_kernel`` have to get right."""
+    one round: what the sorted WIN dedupe and the run-length decrement of
+    ``solve_kernel`` have to get right, with one row or several."""
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -273,6 +288,57 @@ class TestMultigraphRounds:
         assert result.finalized == finalized
         assert result.parent_notifications == notifications
         assert result.round_sizes == sizes
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_multi_row_problems_match_per_row_naive_rounds(self, seed):
+        """Threshold rows solved in one call equal each row solved alone:
+        rows with an empty seed, and sometimes a node with 256+ moves so
+        the counters need ``uint16``."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 14))
+        successors = [
+            [] if rng.random() < 0.25
+            else rng.integers(0, n, size=rng.integers(1, 7)).tolist()
+            for _ in range(n)
+        ]
+        if rng.random() < 0.5:
+            wide = rng.integers(0, n, size=rng.integers(256, 300))
+            successors[int(rng.integers(0, n))] = wide.tolist()
+        out_degree = np.array([len(m) for m in successors], dtype=np.int32)
+        # Exits in [-2, 2]: rows 3 and 4 seed nothing at all.
+        best_exit = rng.integers(-2, 3, size=n).astype(np.int16)
+        best_exit[(out_degree > 0) & (rng.random(n) < 0.5)] = NO_EXIT
+        rows = int(rng.integers(1, 5))
+        status, counts, eligible = seed_thresholds(
+            best_exit, out_degree, range(1, rows + 1)
+        )
+        wide_dtype = np.uint16 if out_degree.max() >= 256 else np.uint8
+        assert counts.dtype == wide_dtype
+        src = np.repeat(np.arange(n), out_degree)
+        dst = np.array([c for m in successors for c in m], dtype=np.int64)
+        reverse = CSR.from_edges(n, dst, src)
+        result = solve_kernel(
+            RAProblem(n, status.copy(), counts, csr_provider(reverse), eligible),
+            record_rounds=True,
+        )
+
+        refs = [_naive_rounds(successors, status[r], eligible[r]) for r in range(rows)]
+        assert result.status.tolist() == [ref[0] for ref in refs]
+        assert result.depth.tolist() == [ref[1] for ref in refs]
+        assert result.rounds == sum(ref[2] for ref in refs)
+        assert result.finalized == sum(ref[3] for ref in refs)
+        assert result.parent_notifications == sum(ref[4] for ref in refs)
+        sizes = np.zeros(max(len(ref[5]) for ref in refs), dtype=np.int64)
+        for ref in refs:
+            sizes[: len(ref[5])] += ref[5]
+        assert result.round_sizes == sizes.tolist()
+
+    def test_depth_only_on_request(self):
+        game = LoopyGraphGame([[], [0]])
+        result = solve_kernel(wdl_problem(build_wdl_graph(game)))
+        assert result.depth is None
+        assert result.status.tolist() == [LOSS, WIN]
 
     def test_repeated_parent_within_one_round(self):
         # 0 is lost; 1 has three parallel moves into it and one into the

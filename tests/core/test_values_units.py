@@ -10,16 +10,11 @@ from repro.core.values import (
     WIN,
     assemble_values,
     check_nested_thresholds,
-    status_array,
+    status_values,
 )
 
 
 class TestStatusArray:
-    def test_fresh_is_unknown(self):
-        s = status_array(5)
-        assert (s == UNKNOWN).all()
-        assert s.dtype == np.uint8
-
     def test_labels_distinct(self):
         assert len({int(UNKNOWN), int(WIN), int(LOSS)}) == 3
 
@@ -45,6 +40,24 @@ class TestAssembleValues:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             assemble_values([], [])
+
+
+class TestStatusValues:
+    def test_rows_read_like_assembled_sets(self):
+        status = np.array([[WIN, LOSS, UNKNOWN, WIN], [WIN, UNKNOWN, UNKNOWN, UNKNOWN]])
+        v = status_values(status.astype(np.uint8))
+        assert v.tolist() == assemble_values(status == WIN, status == LOSS).tolist()
+        assert v.tolist() == [2, -1, 0, 1]
+
+    def test_no_rows_is_all_draws(self):
+        assert status_values(np.zeros((0, 3), dtype=np.uint8)).tolist() == [0, 0, 0]
+
+    def test_two_dimensional_sets_accepted(self):
+        w = np.array([[True, False, False], [True, False, False]])
+        l = np.array([[False, True, False], [False, False, False]])
+        assert assemble_values(w, l).tolist() == [2, -1, 0]
+        with pytest.raises(ValueError):
+            assemble_values(w[:0], l[:0])
 
 
 class TestNesting:

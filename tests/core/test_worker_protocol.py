@@ -1,5 +1,7 @@
 """Edge cases of the distributed worker protocol."""
 
+import gc
+import weakref
 from collections import deque
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.combining import UpdatePacket
+from repro.core.graph import build_database_graph
 from repro.core.parallel.driver import ParallelConfig, ParallelSolver
 from repro.core.parallel.worker import (
     KIND_DEC,
@@ -17,12 +20,12 @@ from repro.core.parallel.worker import (
     WorkerConfig,
     pack_kind,
 )
-from repro.core.partition import CyclicPartition
+from repro.core.partition import CyclicPartition, make_partition
 from repro.core.sequential import SequentialSolver
 from repro.core.values import LOSS, UNKNOWN, WIN
 from repro.games.awari_db import AwariCaptureGame
 from repro.games.synthetic import SyntheticCaptureGame
-from repro.simnet.rts import Message, NodeStats
+from repro.simnet.rts import Message, NodeStats, SPMDRuntime
 
 MAX_EVENTS = 3_000_000
 
@@ -134,6 +137,28 @@ class TestTimersAndTokens:
         np.testing.assert_array_equal(values, seq[3])
 
 
+class TestTeardown:
+    def test_finished_cluster_dies_by_refcount(self, game, seq):
+        """No reference cycle: with the cycle collector off, dropping the
+        last references frees the runtime, its Ethernet and every worker
+        (with its propagation state) at once."""
+        graph = build_database_graph(game, 3, {n: seq[n] for n in range(3)})
+        partition = make_partition("cyclic", graph.size, 4)
+        workers = [
+            RAWorker(r, game, 3, graph, partition, 3, WorkerConfig())
+            for r in range(4)
+        ]
+        runtime = SPMDRuntime(workers)
+        gc.disable()
+        try:
+            runtime.run(max_events=MAX_EVENTS)
+            refs = [weakref.ref(o) for o in (runtime, runtime.ethernet, *workers)]
+            del runtime, workers
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+
 class TestWorkerConfigValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -155,12 +180,12 @@ BOUND = 4
 
 def _reference_apply(status, counts, best_exit, frontier, slots, thresholds, kinds):
     """The per-threshold apply the flat pass replaced: one ``np.unique``
-    over the thresholds, then per threshold WINs deduplicated by
-    ``np.unique`` and decrements by ``np.subtract.at``."""
+    over the thresholds, then per threshold (row ``t - 1``) WINs
+    deduplicated by ``np.unique`` and decrements by ``np.subtract.at``."""
     for t in np.unique(thresholds):
         t = int(t)
         sel = thresholds == t
-        row, cnt = status[t], counts[t]
+        row, cnt = status[t - 1], counts[t - 1]
         win_slots = slots[sel][kinds[sel] == KIND_WIN]
         if win_slots.size:
             new_win = np.unique(win_slots[row[win_slots] == UNKNOWN])
@@ -198,13 +223,13 @@ class TestFlatApply:
         ),
         status=st.lists(
             st.sampled_from([UNKNOWN, UNKNOWN, WIN, LOSS]),
-            min_size=(BOUND + 1) * N_SLOTS,
-            max_size=(BOUND + 1) * N_SLOTS,
+            min_size=BOUND * N_SLOTS,
+            max_size=BOUND * N_SLOTS,
         ),
         counts=st.lists(
             st.integers(0, 3),
-            min_size=(BOUND + 1) * N_SLOTS,
-            max_size=(BOUND + 1) * N_SLOTS,
+            min_size=BOUND * N_SLOTS,
+            max_size=BOUND * N_SLOTS,
         ),
         batches=st.lists(_updates, min_size=1, max_size=4),
     )
@@ -212,7 +237,8 @@ class TestFlatApply:
     def test_matches_per_threshold_reference(self, best_exit, status, counts, batches):
         """Update packets with duplicates, mixed thresholds and WIN + DEC
         on one slot leave ``status``, ``counts`` and the frontier sequence
-        exactly as the per-threshold apply did."""
+        exactly as the per-threshold apply did (counters in the dtype the
+        seed chose, wrapping alike when a batch overdraws them)."""
         graph = SimpleNamespace(
             best_exit=np.asarray(best_exit, dtype=np.int16),
             out_degree=np.zeros(N_SLOTS, dtype=np.int32),
@@ -220,12 +246,14 @@ class TestFlatApply:
         worker = RAWorker(
             0, None, None, graph, CyclicPartition(N_SLOTS, 1), BOUND, WorkerConfig()
         )
-        shape = (BOUND + 1, N_SLOTS)
+        ctx = SimpleNamespace(charge=lambda seconds: None, stats=NodeStats())
+        worker._begin_run(ctx)
+        worker.frontier.clear()
+        shape = (BOUND, N_SLOTS)
         worker.status[...] = np.reshape(status, shape)
         worker.counts[...] = np.reshape(counts, shape)
         ref_status, ref_counts = worker.status.copy(), worker.counts.copy()
         ref_frontier = deque()
-        ctx = SimpleNamespace(charge=lambda seconds: None, stats=NodeStats())
         for batch in batches:
             thresholds, slots, kinds = (
                 np.asarray(batch, dtype=np.int64).reshape(-1, 3).T.copy()
