@@ -78,23 +78,6 @@ class Workbench:
         return self._runs[key]
 
 
-def pytest_addoption(parser):
-    """Benchmark-harness options (pytest rootdir = benchmarks/)."""
-    parser.addoption(
-        "--protocol", action="append", default=None,
-        choices=("json", "binary", "local"),
-        help="restrict the serve protocol comparison to these protocols "
-             "(repeatable; default: all three)",
-    )
-
-
-@pytest.fixture(scope="session")
-def protocols(request) -> tuple:
-    """Protocols selected via ``--protocol`` (all three by default)."""
-    chosen = request.config.getoption("--protocol")
-    return tuple(chosen) if chosen else ("json", "binary", "local")
-
-
 @pytest.fixture(scope="session")
 def bench() -> Workbench:
     return Workbench()

@@ -5,9 +5,9 @@ The `endgame_play.py` scenario replayed through the serving stack: the
 databases are converted to the paged on-disk format, served by a TCP
 probe server whose cache budget is *smaller than the databases*, and the
 optimal lines are replayed by a client that never holds a database in
-memory — :class:`~repro.serve.client.ProbeClient` speaks the same probe
-protocol as an in-process :class:`~repro.db.store.DatabaseSet`, so
-:func:`~repro.db.query.optimal_line` runs over it unchanged.
+memory — :class:`~repro.aserve.client.BinaryProbeClient` speaks the same
+probe protocol as an in-process :class:`~repro.db.store.DatabaseSet`,
+so :func:`~repro.db.query.optimal_line` runs over it unchanged.
 
 Run:  python examples/served_play.py
 """
@@ -20,7 +20,8 @@ import numpy as np
 from repro import solve_awari
 from repro.db import optimal_line
 from repro.games import AwariCaptureGame
-from repro.serve import ProbeClient, ProbeServer, ProbeService, write_paged
+from repro.aserve import AsyncProbeServer, BinaryProbeClient
+from repro.serve import ProbeService, write_paged
 
 STONES = 7
 CACHE_BYTES = 16 * 1024  # far smaller than the 7-stone database
@@ -47,12 +48,12 @@ def main() -> None:
             f"{summary['stored_bytes'] / 1024:.0f} KiB on disk)"
         )
         service = ProbeService.from_paged(path, cache_bytes=CACHE_BYTES)
-        with ProbeServer(service) as server:
+        with AsyncProbeServer(service) as server:
             print(
                 f"probe server on {server.host}:{server.port}, cache budget "
                 f"{CACHE_BYTES // 1024} KiB\n"
             )
-            with ProbeClient(server.host, server.port) as client:
+            with BinaryProbeClient(server.host, server.port) as client:
                 play(game, dbs, client)
                 stats = client.stats()
                 print(
@@ -65,7 +66,7 @@ def main() -> None:
         service.close()
 
 
-def play(game: AwariCaptureGame, dbs, client: ProbeClient) -> None:
+def play(game: AwariCaptureGame, dbs, client: BinaryProbeClient) -> None:
     rng = np.random.default_rng(7)
     indexer = game.engine.indexer(STONES)
     print("three random endgames, solved exactly over TCP:\n")

@@ -1,23 +1,25 @@
 #!/usr/bin/env python
-"""End-to-end binary-serving smoke test, used by the CI ``aserve-smoke`` job.
+"""End-to-end serving smoke test, used by the CI ``aserve-smoke`` job.
 
-The full ``repro.aserve`` lifecycle against a real server subprocess:
+The full solve → page → serve → probe lifecycle against a real server
+subprocess:
 
 1. solve — a fault-free reference database set
 2. ``repro page`` — a zlib paged store plus a ``--codec raw`` twin for
    the mmap path
-3. ``repro serve --protocol binary`` — the asyncio server as a
-   subprocess, readiness via ``--ready-file``
+3. ``repro serve`` — the probe server as a subprocess, readiness via
+   ``--ready-file``
 4. 1,000 verified probes through one pipelined
    :class:`~repro.aserve.client.BinaryProbeClient` connection —
-   every batch in flight at once, every answer checked
-5. a legacy JSON :class:`~repro.serve.client.ProbeClient` on the SAME
-   port — the version-byte fallback, plus a deliberate garbage frame
-   that must come back as a well-formed ``ok: false``
+   every batch in flight at once, every answer checked — then single
+   ``probe`` calls on the same client
+5. raw JSON ``probe_many`` frames on the SAME port — the version-byte
+   fallback — plus a deliberate garbage frame that must come back as a
+   well-formed ``ok: false``
 6. :class:`~repro.aserve.local.LocalProbeClient` over the raw store —
    the zero-copy mmap path, verified against the same oracle
-7. ``repro probe --endpoint`` — the CLI front door for both the TCP
-   and the local endpoint forms
+7. ``repro probe`` — the CLI front door: ``--endpoint`` in its TCP and
+   local forms, and ``--port … --board … --stats``
 8. SIGINT — the server drains and exits 0 printing ``server stopped``
 
 Exits non-zero on any mismatch or unclean shutdown; writes an
@@ -40,6 +42,7 @@ import numpy as np
 
 STONES = 6
 N_PROBES = 1_000
+N_SINGLES = 200
 BATCH = 64
 PIPELINE_DEPTH = 16
 
@@ -89,11 +92,27 @@ def garbage_frame_rejected(host: str, port: int) -> bool:
     return response.get("ok") is False and closed
 
 
+def json_probe_many(host: str, port: int, batches) -> np.ndarray:
+    """Every batch as one raw JSON ``probe_many`` frame on one
+    connection; the values in request order."""
+    from repro.serve.protocol import recv_message, send_message
+
+    values = []
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        for batch in batches:
+            send_message(sock, {"op": "probe_many",
+                                "positions": [list(p) for p in batch]})
+            response = recv_message(sock)
+            if not (response and response.get("ok")):
+                raise RuntimeError(f"JSON probe_many failed: {response}")
+            values.extend(response["values"])
+    return np.asarray(values, dtype=np.int16)
+
+
 def main() -> int:
     from repro.aserve.client import BinaryProbeClient
     from repro.aserve.local import LocalProbeClient
     from repro.db.store import DatabaseSet
-    from repro.serve.client import ProbeClient
 
     artifact = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
         "aserve-smoke.json"
@@ -122,11 +141,10 @@ def main() -> int:
     expected = np.array([int(dbs[d][i]) for d, i in pairs], dtype=np.int16)
     batches = [pairs[k:k + BATCH] for k in range(0, N_PROBES, BATCH)]
 
-    print("== serve --protocol binary (subprocess)")
+    print("== serve (subprocess)")
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", str(zlib_store),
-         "--protocol", "binary", "--cache-kb", "64",
-         "--ready-file", str(ready)],
+         "--cache-kb", "64", "--ready-file", str(ready)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
@@ -145,19 +163,21 @@ def main() -> int:
             binary_mismatches = int(
                 (np.asarray(got, dtype=np.int16) != expected).sum()
             )
+            single_mismatches = sum(
+                client.probe(d, i) != int(expected[k])
+                for k, (d, i) in enumerate(pairs[:N_SINGLES])
+            )
             stats = client.stats()
-        print(f"   {binary_mismatches} mismatches "
-              f"(backend {stats['backend']})")
-        if binary_mismatches:
+        print(f"   {binary_mismatches} mismatches, {single_mismatches} "
+              f"on {N_SINGLES} single probes (backend {stats['backend']})")
+        if binary_mismatches or single_mismatches:
             print("FAIL: binary answers diverged", file=sys.stderr)
             return 1
 
-        print("== legacy JSON client on the same port")
-        with ProbeClient(host, port) as client:
-            json_got = np.concatenate(
-                [client.probe_many(b) for b in batches]
-            )
-        json_mismatches = int((json_got != expected).sum())
+        print("== raw JSON probe_many frames on the same port")
+        json_mismatches = int(
+            (json_probe_many(host, port, batches) != expected).sum()
+        )
         print(f"   {json_mismatches} mismatches")
         if json_mismatches:
             print("FAIL: JSON fallback diverged", file=sys.stderr)
@@ -192,6 +212,14 @@ def main() -> int:
                 print(f"FAIL: CLI probe answered {first!r}, "
                       f"wanted {want!r}", file=sys.stderr)
                 return 1
+        board = ",".join(["0"] * 7 + ["1", "1", "1", "1", "1"])
+        out = cli("probe", "--port", str(port), "--board", board, "--stats")
+        if "value for the mover" not in out or "hit_rate" not in out:
+            print("FAIL: CLI best-move/stats output malformed",
+                  file=sys.stderr)
+            return 1
+        print("   --port --board --stats -> "
+              + out.strip().splitlines()[0])
 
         print("== SIGINT -> graceful shutdown")
         server.send_signal(signal.SIGINT)
@@ -208,6 +236,7 @@ def main() -> int:
             "probes": N_PROBES,
             "pipeline_depth": PIPELINE_DEPTH,
             "binary_mismatches": binary_mismatches,
+            "single_mismatches": single_mismatches,
             "json_mismatches": json_mismatches,
             "local_mismatches": local_mismatches,
         }, indent=2, sort_keys=True) + "\n")

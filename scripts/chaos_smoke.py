@@ -68,7 +68,7 @@ def identical(archive_a: Path, archive_b: Path) -> bool:
 
 def main() -> int:
     from repro.db.store import DatabaseSet
-    from repro.serve.client import ProbeClient
+    from repro.aserve.client import BinaryProbeClient
 
     tmp = Path(tempfile.mkdtemp(prefix="chaos-smoke-"))
     reference = tmp / "reference.npz"
@@ -147,7 +147,7 @@ def main() -> int:
         ]
         expected = np.array([int(dbs[d][i]) for d, i in pairs],
                             dtype=np.int16)
-        with ProbeClient(host, int(port)) as client:
+        with BinaryProbeClient(host, int(port)) as client:
             got = [client.probe(*pairs[k]) for k in range(N_PROBES // 2)]
             for start in range(N_PROBES // 2, N_PROBES, BATCH):
                 got.extend(client.probe_many(pairs[start:start + BATCH]))

@@ -8,8 +8,8 @@ Drives the packed codec the way an operator would, end to end:
    written to ``codec_smoke.json`` (uploaded as a CI artifact)
 3. ``repro serve``  — serve the **packed** store in a subprocess
 4. probe it: 1,000 verified probes through
-   :class:`~repro.serve.client.ProbeClient`, every value checked against
-   the in-memory ground truth, plus the mmap local fast path
+   :class:`~repro.aserve.client.BinaryProbeClient`, every value checked
+   against the in-memory ground truth, plus the mmap local fast path
    (bulk-unpack mode) over the same packed file
 5. SIGINT the server and require a clean, zero-status shutdown
 
@@ -57,9 +57,9 @@ def cli(*args: str) -> str:
 
 
 def main() -> int:
+    from repro.aserve.client import BinaryProbeClient
     from repro.aserve.local import LocalProbeClient
     from repro.db.store import DatabaseSet
-    from repro.serve.client import ProbeClient
     from repro.serve.pagedstore import PagedStore
 
     artifact = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
@@ -112,7 +112,7 @@ def main() -> int:
             [int(dbs[d][i]) for d, i in pairs], dtype=np.int16
         )
 
-        with ProbeClient(host, int(port)) as client:
+        with BinaryProbeClient(host, int(port)) as client:
             assert client.ping(), "ping failed"
             info = client.info()
             if info.get("codec") != "packed":

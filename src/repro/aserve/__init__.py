@@ -1,10 +1,11 @@
-"""repro.aserve — asyncio binary probe serving with pipelining.
+"""repro.aserve — the probe server and its clients.
 
-The high-throughput twin of :mod:`repro.serve`: a versioned struct-
-packed binary frame format (:mod:`~repro.aserve.frames`), an asyncio
-server answering binary and legacy JSON on one port
-(:mod:`~repro.aserve.server`), a pipelined async client with a blocking
-probe-protocol facade (:mod:`~repro.aserve.client`), and a zero-copy
+The network half of serving, over the stores of :mod:`repro.serve`: a
+versioned struct-packed binary frame format
+(:mod:`~repro.aserve.frames`), the asyncio probe server answering binary
+and JSON frames on one port (:mod:`~repro.aserve.server`), a pipelined
+async client with a blocking probe-protocol facade
+(:mod:`~repro.aserve.client`), and a zero-copy
 mmap fast path for local stores (:mod:`~repro.aserve.local`).  See
 docs/SERVING.md for the frame layout and the version-negotiation state
 machine.

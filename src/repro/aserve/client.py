@@ -1,4 +1,4 @@
-"""Pipelined binary probe clients: async core plus a blocking facade.
+"""The probe client: pipelined async core plus a blocking facade.
 
 :class:`AsyncProbeClient` is the async core: one connection, many
 requests in flight.  Each request takes a sequence id, lands in a
@@ -7,16 +7,16 @@ response frames arrive — so N concurrent ``await``\\ s on one connection
 cost one round trip, not N.  A semaphore bounds the in-flight window.
 
 :class:`BinaryProbeClient` wraps the async core behind the blocking,
-duck-typed **probe protocol** of :class:`~repro.serve.client.ProbeClient`
-(``probe`` / ``probe_many`` / ``depth_of`` / ``best_move`` /
-``__contains__`` / ``ids`` / …), so ``repro.db.query``,
-``repro.db.search`` and the cluster
-:class:`~repro.cluster.router.ShardRouter` run over the binary protocol
-unchanged.  Reconnect semantics mirror the JSON client: transport
-failures of idempotent requests are replayed over a fresh connection
-within :class:`~repro.resilience.ReconnectPolicy` bounds, and exhaustion
-surfaces as :class:`~repro.serve.client.ProbeTransportError` — the type
-the router fails over on.
+duck-typed **probe protocol** that
+:class:`~repro.serve.service.ProbeService` also speaks (``probe`` /
+``probe_many`` / ``depth_of`` / ``best_move`` / ``__contains__`` /
+``ids`` / …), so ``repro.db.query``, ``repro.db.search`` and the cluster
+:class:`~repro.cluster.router.ShardRouter` run over the network
+unchanged.  Transport failures of idempotent requests are replayed over
+a fresh connection within :class:`~repro.resilience.ReconnectPolicy`
+bounds, and exhaustion surfaces as
+:class:`~repro.serve.client.ProbeTransportError` — the type the router
+fails over on.
 
 :class:`EventLoopThread` is the sync/async bridge: one daemon thread
 running one event loop, shareable between many facades (the router puts
@@ -284,8 +284,7 @@ class AsyncProbeClient:
         return response.depth
 
     async def best_move(self, board) -> dict:
-        """Server-side best move: ``{"value", "pits", "moves"}`` (same
-        shape as :meth:`ProbeClient.best_move`)."""
+        """Server-side best move: ``{"value", "pits", "moves"}``."""
         response = await self._request(
             lambda seq: frames.encode_best_move(seq, board)
         )
@@ -333,15 +332,18 @@ class BinaryProbeClient:
     """Blocking facade over :class:`AsyncProbeClient`.
 
     Satisfies the duck-typed probe protocol of
-    :class:`~repro.serve.client.ProbeClient`, so query/search/router
-    code runs over the binary transport unchanged.  Adds the pipelining
-    surface: :meth:`pipeline` floods many batches down one connection
+    :class:`~repro.serve.service.ProbeService`, so query/search/router
+    code runs over the network unchanged.  Adds the pipelining surface:
+    :meth:`pipeline` floods many batches down one connection
     concurrently, and :meth:`submit_probe_packed` dispatches without
     blocking (the router's scatter primitive).
 
-    ``loop_thread`` shares one :class:`EventLoopThread` between clients;
-    by default the client owns a private one and closes it with
-    :meth:`close`.
+    ``reconnect=False`` is fail-fast: no replays, and once the
+    connection is lost every later call raises
+    :class:`~repro.serve.client.ProbeTransportError` instead of opening
+    a new one.  ``loop_thread`` shares one :class:`EventLoopThread`
+    between clients; by default the client owns a private one and closes
+    it with :meth:`close`.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
@@ -389,9 +391,9 @@ class BinaryProbeClient:
         ) from last
 
     def set_timeout(self, seconds: float) -> None:
-        """Adjust the per-request timeout, live connection included
-        (same contract as :meth:`ProbeClient.set_timeout` — the
-        router's deadline machinery drives this)."""
+        """Adjust the per-request timeout, live connection included —
+        the router's deadline machinery caps each attempt to the
+        remaining call budget through this hook."""
         seconds = float(seconds)
         if seconds <= 0:
             raise ValueError("timeout must be positive")
@@ -407,21 +409,32 @@ class BinaryProbeClient:
             except (RuntimeError, ProbeError, OSError):
                 pass  # teardown of an already-failed connection
 
+    def _live(self) -> AsyncProbeClient:
+        """The open connection, re-established first when it was lost
+        (counted on ``reconnects``) — unless reconnecting is off."""
+        if self._closed:
+            raise ProbeError("client is closed")
+        if self._async is None or self._async.closed:
+            if not self.reconnect:
+                raise ProbeTransportError(
+                    f"connection to {self.host}:{self.port} lost and "
+                    "reconnect is disabled"
+                )
+            self._drop()
+            self._connect()
+            self.reconnects += 1
+            self.metrics.inc("reconnects")
+        return self._async
+
     def _call(self, factory):
         """Run ``factory(async_client)`` on the loop; transport failures
         of these idempotent lookups are replayed over a fresh connection
-        within the policy's bounds (mirrors ``ProbeClient.request``)."""
-        if self._closed:
-            raise ProbeError("client is closed")
+        within the policy's bounds."""
         replays = self.policy.request_replays if self.reconnect else 0
         for attempt in range(replays + 1):
-            if self._async is None or self._async.closed:
-                self._drop()
-                self._connect()
-                self.reconnects += 1
-                self.metrics.inc("reconnects")
+            client = self._live()
             try:
-                return self._loop.run(factory(self._async))
+                return self._loop.run(factory(client))
             except ProbeTransportError:
                 self._drop()
                 if attempt >= replays:
@@ -505,15 +518,8 @@ class BinaryProbeClient:
 
         No replay happens here — the caller (the router) owns failover.
         """
-        if self._closed:
-            raise ProbeError("client is closed")
-        if self._async is None or self._async.closed:
-            self._drop()
-            self._connect()
-            self.reconnects += 1
-            self.metrics.inc("reconnects")
         return self._loop.submit(
-            self._async.probe_packed(directory, db_slots, indices)
+            self._live().probe_packed(directory, db_slots, indices)
         )
 
     def depth_of(self, db_id, index: int):

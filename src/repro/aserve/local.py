@@ -21,7 +21,7 @@ with ``mmap`` and answers probes directly from the mapping:
   codec recorded as the reason in :meth:`LocalProbeClient.stats`.
 
 The client satisfies the duck-typed probe protocol of
-:class:`~repro.serve.client.ProbeClient` (``probe`` / ``probe_many`` /
+:class:`~repro.aserve.client.BinaryProbeClient` (``probe`` / ``probe_many`` /
 ``best_move`` / ``depth_of`` / ``__contains__`` / …), so query and
 search code cannot tell it apart from a TCP client — only the latency
 can.  :func:`repro.aserve.connect` selects it automatically when the
@@ -166,7 +166,7 @@ class LocalProbeClient:
         return True
 
     def info(self) -> dict:
-        """Metadata in the same shape as ``ProbeClient.info()``."""
+        """Metadata in the same shape as ``BinaryProbeClient.info()``."""
         return {
             "game": self.game_name,
             "rules": self.rules,
@@ -250,7 +250,7 @@ class LocalProbeClient:
         return best_moves(self.game, self, board)
 
     def best_move(self, board) -> dict:
-        """Best move in the same shape as ``ProbeClient.best_move``:
+        """Best move in the same shape as ``BinaryProbeClient.best_move``:
         ``{"value", "pits", "moves"}``."""
         value, moves = self.best_moves(board)
         return {

@@ -1,29 +1,27 @@
-"""Asyncio probe server: binary and JSON protocols on one port.
+"""The probe server: binary and JSON frames on one port.
 
 One :class:`AsyncProbeServer` wraps one
-:class:`~repro.serve.service.ProbeService` and answers both wire
-protocols on the same listener.  Dispatch is per frame, on the payload's
-first byte: :data:`~repro.aserve.frames.BINARY_VERSION` (``0xB1``)
-selects the binary protocol of :mod:`repro.aserve.frames`; ``{`` (or
-leading JSON whitespace) falls back to the legacy JSON protocol, so
-existing :class:`~repro.serve.client.ProbeClient` instances keep working
-against a binary server unchanged.  Any other first byte is answered
-with a well-formed ``ok: false`` JSON rejection and the connection is
-closed — never a hang.
+:class:`~repro.serve.service.ProbeService` and answers both frame kinds
+on the same listener.  Dispatch is per frame, on the payload's first
+byte: :data:`~repro.aserve.frames.BINARY_VERSION` (``0xB1``) selects the
+binary frames of :mod:`repro.aserve.frames`; ``{`` (or leading JSON
+whitespace) selects the JSON frames of :mod:`repro.serve.protocol`,
+which the cluster's liveness ping and outside clients speak.  Any other
+first byte is answered with a well-formed ``ok: false`` JSON rejection
+and the connection is closed — never a hang.
 
-Unlike the thread-per-connection :class:`~repro.serve.server.ProbeServer`,
-every connection here is a coroutine on one event loop: ten thousand
-idle connections cost ten thousand small objects, not ten thousand
-stacks.  Requests on one connection are answered in arrival order, which
-is what makes client-side pipelining pay: a client may write hundreds of
-frames before reading the first response.
+Every connection is a coroutine on one event loop: ten thousand idle
+connections cost ten thousand small objects, not ten thousand stacks.
+Requests on one connection are answered in arrival order, which is what
+makes client-side pipelining pay: a client may write hundreds of frames
+before reading the first response.
 
-Lifecycle mirrors the threaded server: the listener is bound eagerly in
-the constructor (``port=0`` picks an ephemeral port readable before
-start), :meth:`~AsyncProbeServer.start` runs the loop on a background
-thread, :meth:`~AsyncProbeServer.serve_forever` runs it on the calling
-thread until ``KeyboardInterrupt``, and shutdown drains in-flight
-frames, closes every connection, and joins the loop.
+The listener is bound eagerly in the constructor (``port=0`` picks an
+ephemeral port readable before start), :meth:`~AsyncProbeServer.start`
+runs the loop on a background thread,
+:meth:`~AsyncProbeServer.serve_forever` runs it on the calling thread
+until ``KeyboardInterrupt``, and shutdown drains in-flight frames,
+closes every connection, and joins the loop.
 """
 
 from __future__ import annotations
@@ -34,15 +32,14 @@ import socket
 import threading
 
 from ..obs import NULL_METRICS
-from ..serve.ops import JsonRequestHandler
+from ..serve.ops import JsonRequestHandler, _overloaded
 from ..serve.protocol import MAX_MESSAGE_BYTES
-from ..serve.server import _overloaded
 from . import frames
 
 __all__ = ["AsyncProbeServer"]
 
 #: First bytes that open a JSON frame (an object, an array — rejected
-#: with the same message as the threaded server — or leading whitespace).
+#: as "not a JSON object" — or leading whitespace).
 _JSON_OPENERS = frozenset(b"{[ \t\r\n")
 
 #: Seconds granted to in-flight connection handlers at shutdown.
@@ -52,11 +49,10 @@ _DRAIN_SECONDS = 5.0
 class AsyncProbeServer:
     """Serve one :class:`ProbeService` over TCP on an asyncio event loop.
 
-    Speaks the binary protocol natively and the legacy JSON protocol via
-    per-frame version-byte fallback.  Connections are isolated exactly
-    like the threaded server's: a malformed frame or a raising handler
-    produces an error response (or a counted disconnect) for that client
-    only.  ``max_connections`` caps concurrently served connections —
+    Speaks binary frames natively and JSON frames via per-frame
+    version-byte fallback.  Connections are isolated: a malformed frame
+    or a raising handler produces an error response (or a counted
+    disconnect) for that client only.  ``max_connections`` caps concurrently served connections —
     beyond it, a connection is answered with an ``ok: false`` capacity
     rejection and closed.  ``max_inflight`` caps concurrently executing
     requests across all connections — past it a request is shed with a
@@ -64,9 +60,9 @@ class AsyncProbeServer:
     error frame carrying :data:`~repro.aserve.frames.FLAG_OVERLOADED`)
     and the connection survives.  ``faults`` optionally carries a
     :class:`~repro.resilience.FaultPlan`; the drop-conn, latency,
-    blackhole and crash-shard injectors all apply here exactly as on
-    the threaded server (latency is awaited, so injected delays overlap
-    across connections instead of blocking the loop).  ``metrics`` is
+    blackhole and crash-shard injectors all apply (latency is awaited,
+    so injected delays overlap across connections instead of blocking
+    the loop).  ``metrics`` is
     typically ``registry.scoped("aserve.server")``.
     """
 

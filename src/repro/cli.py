@@ -171,20 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inject-fault", action="append", default=[], metavar="SPEC",
         help="deterministic fault injection, e.g. drop-conn:every=50, "
              "latency:ms=200,every=3, blackhole:after=10 or "
-             "crash-shard:after=50 (repeatable; both protocols; see "
-             "docs/RESILIENCE.md)",
+             "crash-shard:after=50 (repeatable; see docs/RESILIENCE.md)",
     )
     serve.add_argument(
         "--fault-state-dir", default=None, metavar="DIR",
         help="directory for once-only fault flag files; hand a respawned "
              "server the same dir so a fired crash-shard stays fired",
-    )
-    serve.add_argument(
-        "--protocol", choices=("json", "binary"), default="json",
-        help="wire protocol: json = thread-per-connection legacy server, "
-             "binary = asyncio server speaking the struct-packed frames "
-             "of docs/SERVING.md (JSON clients still work on the same "
-             "port via version-byte fallback)",
     )
     serve.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
@@ -201,11 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser("probe", help="query a running probe server")
     probe.add_argument("--host", default="127.0.0.1")
     probe.add_argument("--port", type=int, default=None)
-    probe.add_argument(
-        "--binary", action="store_true",
-        help="speak the binary protocol (pipelined "
-             "BinaryProbeClient) instead of JSON",
-    )
     probe.add_argument(
         "--endpoint", default=None, metavar="HOST:PORT|PATH",
         help="probe endpoint: host:port picks the binary TCP client, an "
@@ -595,7 +582,7 @@ def _cmd_page(args) -> int:
 def _cmd_serve(args) -> int:
     from pathlib import Path
 
-    from .serve.server import ProbeServer
+    from .aserve.server import AsyncProbeServer
     from .serve.service import ProbeService
 
     faults = None
@@ -615,20 +602,11 @@ def _cmd_serve(args) -> int:
         service = ProbeService.from_paged(
             args.store, cache_bytes=args.cache_kb * 1024
         )
-    if args.protocol == "binary":
-        from .aserve.server import AsyncProbeServer
-
-        server = AsyncProbeServer(service, host=args.host, port=args.port,
-                                  faults=faults,
-                                  max_connections=args.max_connections,
-                                  max_inflight=args.max_inflight)
-    else:
-        server = ProbeServer(service, host=args.host, port=args.port,
-                             faults=faults,
-                             max_connections=args.max_connections,
-                             max_inflight=args.max_inflight)
-    describe = f"{service.game_name} ({args.protocol}, "
-    describe += f"{service.backend_kind}"
+    server = AsyncProbeServer(service, host=args.host, port=args.port,
+                              faults=faults,
+                              max_connections=args.max_connections,
+                              max_inflight=args.max_inflight)
+    describe = f"{service.game_name} ({service.backend_kind}"
     if service.backend_kind == "paged":
         describe += f", cache {format_bytes(args.cache_kb * 1024)}"
     describe += ")"
@@ -667,19 +645,14 @@ def _cmd_staticcheck(args) -> int:
 
 def _make_probe_client(args):
     """Build the client `repro probe` asked for: mmap for a local-path
-    --endpoint, pipelined binary for host:port endpoints or --binary,
-    legacy JSON otherwise."""
-    from .serve.client import ProbeClient
-
+    --endpoint, the pipelined binary client for a TCP endpoint."""
     if args.endpoint is not None:
         from .aserve import connect
 
         return connect(args.endpoint)
-    if args.binary:
-        from .aserve.client import BinaryProbeClient
+    from .aserve.client import BinaryProbeClient
 
-        return BinaryProbeClient(args.host, args.port)
-    return ProbeClient(args.host, args.port)
+    return BinaryProbeClient(args.host, args.port)
 
 
 def _cmd_probe(args) -> int:
@@ -694,7 +667,7 @@ def _cmd_probe(args) -> int:
         print("--db and --index go together", file=sys.stderr)
         return 2
     if args.endpoint is None and args.port is None:
-        print("pass --port (with optional --host/--binary) or --endpoint",
+        print("pass --port (with optional --host) or --endpoint",
               file=sys.stderr)
         return 2
     try:

@@ -8,9 +8,9 @@ shape:
 * :mod:`repro.cluster.manifest` — split one paged store into per-shard
   page files through a :class:`~repro.core.partition.Partition`, and
   the shard manifest that records the split;
-* :mod:`repro.cluster.launch` — run N shard :class:`ProbeServer`
-  processes (plus optional replicas) and publish their addresses as a
-  topology file;
+* :mod:`repro.cluster.launch` — run N shard
+  :class:`~repro.aserve.server.AsyncProbeServer` processes (plus
+  optional replicas) and publish their addresses as a topology file;
 * :mod:`repro.cluster.router` — the :class:`ShardRouter` that hashes
   positions through the recorded partition, scatter-gathers batched
   probes across shards, and fails over on endpoint health;

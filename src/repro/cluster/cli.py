@@ -64,10 +64,6 @@ def add_arguments(parser) -> None:
              "(for scripts/CI)",
     )
     up.add_argument(
-        "--protocol", choices=("json", "binary"), default="json",
-        help="wire protocol the shard servers speak (docs/CLUSTER.md)",
-    )
-    up.add_argument(
         "--auto-restart", action="store_true",
         help="supervise the shard servers: detect dead or unresponsive "
              "endpoints and respawn them on their original ports "
@@ -111,12 +107,6 @@ def add_arguments(parser) -> None:
                             "cluster for the best move")
     probe.add_argument("--stats", action="store_true",
                        help="print per-shard endpoint statistics")
-    probe.add_argument(
-        "--transport", choices=("json", "binary"), default="json",
-        help="shard transport: json = one blocking client per shard, "
-             "binary = pipelined clients sharing one event loop "
-             "(docs/CLUSTER.md)",
-    )
     probe.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-call wall-clock budget shared across failover "
@@ -174,7 +164,6 @@ def _cmd_up(args) -> int:
             replicas=args.replicas,
             host=args.host,
             cache_kb=args.cache_kb,
-            protocol=args.protocol,
             fault_specs=args.inject_fault,
             max_inflight=args.max_inflight,
         )
@@ -249,7 +238,7 @@ def _cmd_probe(args) -> int:
         return 2
     try:
         with ShardRouter.from_topology(
-            args.topology, transport=args.transport,
+            args.topology,
             deadline=args.deadline, hedge_after_ms=args.hedge_after_ms,
         ) as router:
             if args.db is not None:

@@ -33,9 +33,8 @@ before replicas) within each class, so a healthy cluster routes
 exactly as before this module existed.
 
 :func:`probe_endpoint` is the supervisor's liveness check: one
-length-prefixed JSON ``ping`` round trip, which both the threaded JSON
-server and the asyncio binary server answer (the latter through its
-version-byte JSON fallback).
+length-prefixed JSON ``ping`` round trip, which the probe server
+answers through its version-byte JSON fallback.
 
 Clocks are injectable everywhere (``clock`` returns monotonic seconds)
 so breaker tests advance time without sleeping.
@@ -190,10 +189,9 @@ class EndpointHealth:
 def probe_endpoint(host: str, port: int, timeout: float = 1.0) -> bool:
     """One JSON ``ping`` round trip against a probe server.
 
-    True only for a well-formed pong.  Both server implementations
-    answer it: the threaded server natively, the asyncio server through
-    its version-byte JSON fallback — which is what lets one probe
-    implementation health-check every cluster protocol.
+    True only for a well-formed pong.  The server answers it through its
+    version-byte JSON fallback, so the supervisor's liveness check needs
+    no event loop and no binary client.
     """
     try:
         with socket.create_connection((host, port),

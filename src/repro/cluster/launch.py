@@ -65,7 +65,6 @@ class SpawnSpec:
     shard_file: str
     host: str
     cache_kb: int
-    protocol: str = "json"
     ready_dir: str = ""
     fault_specs: tuple = ()
     fault_state_dir: str | None = None
@@ -80,7 +79,6 @@ class SpawnSpec:
             sys.executable, "-m", "repro", "serve", self.shard_file,
             "--host", self.host, "--port", str(int(port)),
             "--cache-kb", str(self.cache_kb),
-            "--protocol", self.protocol,
             "--ready-file", str(ready_path),
         ]
         for spec in self.fault_specs:
@@ -271,7 +269,6 @@ def launch_cluster(
     host: str = "127.0.0.1",
     cache_kb: int = 65536,
     ready_timeout: float = READY_TIMEOUT_SECONDS,
-    protocol: str = "json",
     fault_specs=None,
     fault_state_dir=None,
     max_inflight: int | None = None,
@@ -293,8 +290,6 @@ def launch_cluster(
     """
     if replicas < 0:
         raise ValueError("replicas must be >= 0")
-    if protocol not in ("json", "binary"):
-        raise ValueError(f"unknown protocol {protocol!r}")
     if fault_specs:
         for spec in fault_specs:
             parse_fault(spec)  # fail fast, before any child starts
@@ -322,7 +317,7 @@ def launch_cluster(
                 spec = SpawnSpec(
                     shard=shard, copy=copy,
                     shard_file=str(cluster_dir / shard_file),
-                    host=host, cache_kb=cache_kb, protocol=protocol,
+                    host=host, cache_kb=cache_kb,
                     ready_dir=str(ready_dir),
                     fault_specs=assigned,
                     fault_state_dir=(

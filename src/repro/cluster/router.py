@@ -1,8 +1,10 @@
 """Scatter-gather routing of probes across a sharded serving cluster.
 
-A :class:`ShardRouter` owns a pool of reconnecting
-:class:`~repro.serve.client.ProbeClient` instances (one per endpoint it
-has talked to) and speaks the same probe protocol as
+A :class:`ShardRouter` owns a pool of pipelined
+:class:`~repro.aserve.client.BinaryProbeClient` instances (one per
+endpoint it has talked to, all sharing **one**
+:class:`~repro.aserve.client.EventLoopThread`) and speaks the same probe
+protocol as
 :class:`~repro.serve.service.ProbeService` (``probe`` / ``probe_many``
 / ``best_moves`` / ``__contains__`` / ``depth_of``), so
 ``repro.db.query`` and ``repro.db.search`` run over a whole cluster
@@ -17,8 +19,9 @@ as arrays, never position by position: split once into parallel arrays,
 mapped through the partitions per distinct database, ordered by one
 ``np.lexsort`` on (shard, database, paged block of the local slot) so
 each shard's block cache is touched sequentially, cut into per-shard
-slices, dispatched concurrently across shards, and merged back in
-request order with one indexed assignment per shard.
+slices, dispatched as concurrent futures on the shared event loop (no
+thread per shard), and merged back in request order with one indexed
+assignment per shard.
 
 Failure handling is health-aware (:mod:`repro.cluster.health`): every
 endpoint carries a circuit breaker.  Transport failures inside one
@@ -51,27 +54,18 @@ One router instance is not safe for concurrent calls from multiple
 threads; the concurrency *inside* one ``probe_many`` call is safe
 because each in-flight attempt checks its client out of the pool and
 returns it only when done.
-
-``transport="binary"`` swaps the per-endpoint clients for pipelined
-:class:`~repro.aserve.client.BinaryProbeClient` instances sharing **one**
-:class:`~repro.aserve.client.EventLoopThread`: a scatter then dispatches
-every shard's sub-batch as a concurrent future on that loop instead of
-spawning a thread per shard, and failover falls back to the same
-breaker-driven path on transport failure or overload.  When hedging is
-armed, both transports fetch each shard's slice through the same
-per-shard hedged fetch.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 
 from ..obs import NULL_METRICS, names
 from ..serve.client import (
-    ProbeClient,
     ProbeError,
     ProbeOverloadedError,
     ProbeTransportError,
@@ -107,16 +101,46 @@ def _normalize_endpoints(endpoints) -> list:
     return groups
 
 
+def _packed_op(directory, db_slots, local):
+    """The blocking client call that fetches one routed sub-batch."""
+    return lambda c: c.probe_packed(directory, db_slots, local)
+
+
+class _PairsClient:
+    """Adapter for a client that only speaks ``probe_many(pairs)``: the
+    router's packed calls become a pair list, and the non-blocking
+    submit answers with an already-completed future.  Every other
+    attribute is the wrapped client's."""
+
+    def __init__(self, client):
+        self._client = client
+
+    def __getattr__(self, name):
+        return getattr(self._client, name)
+
+    def probe_packed(self, directory, db_slots, local):
+        return self._client.probe_many(list(zip(
+            map(directory.__getitem__, db_slots.tolist()), local.tolist()
+        )))
+
+    def submit_probe_packed(self, directory, db_slots, local):
+        future: Future = Future()
+        try:
+            future.set_result(self.probe_packed(directory, db_slots, local))
+        except ProbeError as exc:
+            future.set_exception(exc)
+        return future
+
+
 class ShardRouter:
     """Route probes to their owning shards; fail over on endpoint health.
 
-    ``client_factory(host, port)`` defaults to a reconnecting
-    :class:`~repro.serve.client.ProbeClient` for ``transport="json"``
-    and a pipelined :class:`~repro.aserve.client.BinaryProbeClient` (all
-    shards sharing one event-loop thread) for ``transport="binary"``;
-    tests inject fakes here to pin routing decisions without sockets.  A
-    custom factory used with the binary transport must produce clients
-    with ``probe_packed`` and ``submit_probe_packed``.
+    ``client_factory(host, port)`` defaults to a pipelined
+    :class:`~repro.aserve.client.BinaryProbeClient` (all shards sharing
+    one event-loop thread); tests inject fakes here to pin routing
+    decisions without sockets.  A custom client needs ``probe``,
+    ``close`` and either ``probe_packed`` plus ``submit_probe_packed``
+    or just ``probe_many(pairs)``, which the router adapts.
 
     Health knobs:
 
@@ -143,20 +167,15 @@ class ShardRouter:
 
     def __init__(self, manifest: ShardManifest, endpoints, metrics=None,
                  policy=None, timeout: float = 30.0, client_factory=None,
-                 transport: str = "json", breaker_threshold: int = 1,
+                 breaker_threshold: int = 1,
                  breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS,
                  deadline: float | None = None,
                  hedge_after_ms: float | None = None,
                  clock=time.monotonic):
-        if transport not in ("json", "binary"):
-            raise ValueError(
-                f"unknown transport {transport!r}; use 'json' or 'binary'"
-            )
         if deadline is not None and float(deadline) <= 0:
             raise ValueError("deadline must be positive")
         if hedge_after_ms is not None and float(hedge_after_ms) < 0:
             raise ValueError("hedge_after_ms must be >= 0")
-        self.transport = transport
         self.manifest = manifest
         self._endpoints = _normalize_endpoints(endpoints)
         if len(self._endpoints) != manifest.n_shards:
@@ -173,10 +192,8 @@ class ShardRouter:
         )
         self._clock = clock
         self._loop_thread = None
-        if client_factory is None:
-            client_factory = (self._binary_factory if transport == "binary"
-                              else self._default_factory)
-        self._factory = client_factory
+        self._factory = (self._binary_factory if client_factory is None
+                         else client_factory)
         self._health = EndpointHealth(
             [len(group) for group in self._endpoints],
             threshold=breaker_threshold,
@@ -206,12 +223,6 @@ class ShardRouter:
             manifest = ShardManifest.load(topology.cluster_dir)
         return cls(manifest, topology, **kwargs)
 
-    def _default_factory(self, host: str, port: int):
-        return ProbeClient(
-            host, port, timeout=self._timeout,
-            policy=self._policy, metrics=self._metrics,
-        )
-
     def _binary_factory(self, host: str, port: int):
         """Pipelined binary client; every shard shares one event-loop
         thread, so the router's fan-out needs no thread per shard."""
@@ -223,7 +234,8 @@ class ShardRouter:
             loop_thread = self._loop_thread
         return BinaryProbeClient(
             host, port, timeout=self._timeout, policy=self._policy,
-            metrics=self._metrics, loop_thread=loop_thread,
+            metrics=self._metrics.scoped("aserve.client"),
+            loop_thread=loop_thread,
         )
 
     # ------------------------------------------------------------ endpoints
@@ -252,6 +264,8 @@ class ShardRouter:
         if client is None:
             address = self._endpoints[shard][endpoint]
             client = self._factory(address.host, address.port)
+            if not hasattr(client, "submit_probe_packed"):
+                client = _PairsClient(client)
         return client
 
     def _return_client(self, shard: int, endpoint: int, client) -> None:
@@ -281,21 +295,28 @@ class ShardRouter:
             ) from (last if isinstance(last, BaseException) else None)
         return remaining
 
-    def _attempt_once(self, shard: int, endpoint: int, op, deadline_at):
-        """Run ``op(client)`` against one endpoint with full breaker and
-        pool bookkeeping; re-raises the classified failure."""
+    def _checkout(self, shard: int, endpoint: int, deadline_at):
+        """Take one endpoint's client, its timeout capped to the call's
+        remaining budget; a failed connect counts against the breaker."""
         remaining = self._time_left(shard, deadline_at)
-        breaker = self._health.breaker(shard, endpoint)
         try:
             client = self._take_client(shard, endpoint)
         except ProbeTransportError:
             self._metrics.inc(names.CLUSTER_SHARD_ERRORS)
-            breaker.record_failure()
+            self._health.breaker(shard, endpoint).record_failure()
             raise
+        if remaining is not None:
+            client.set_timeout(min(self._timeout, remaining))
+        return client
+
+    def _settle(self, shard: int, endpoint: int, client, call):
+        """Finish one attempt: ``call()`` yields its result, and the
+        breaker and the pool learn how it went.  Every outcome returns
+        the client to the pool or closes it; the classified failure is
+        re-raised."""
+        breaker = self._health.breaker(shard, endpoint)
         try:
-            if remaining is not None:
-                client.set_timeout(min(self._timeout, remaining))
-            result = op(client)
+            result = call()
         except ProbeOverloadedError:
             # The endpoint is alive and shedding load: hand the client
             # back, leave the breaker alone, let the caller fail over.
@@ -316,6 +337,12 @@ class ShardRouter:
         breaker.record_success()
         self._return_client(shard, endpoint, client)
         return result
+
+    def _attempt_once(self, shard: int, endpoint: int, op, deadline_at):
+        """Run ``op(client)`` against one endpoint with full breaker and
+        pool bookkeeping; re-raises the classified failure."""
+        client = self._checkout(shard, endpoint, deadline_at)
+        return self._settle(shard, endpoint, client, lambda: op(client))
 
     def _sequential(self, shard: int, op, candidates, deadline_at,
                     already: int = 0, last=None):
@@ -436,16 +463,6 @@ class ShardRouter:
             for a, b in zip([0, *cuts], [*cuts, order.shape[0]])
         ]
 
-    def _shard_op(self, directory, db_slots, local):
-        """The blocking client call that fetches one routed sub-batch:
-        packed arrays on the binary transport, ``probe_many`` with a
-        list of ``(db_id, local)`` pairs on the JSON one."""
-        if self.transport == "binary":
-            return lambda c: c.probe_packed(directory, db_slots, local)
-        pairs = list(zip(map(directory.__getitem__, db_slots.tolist()),
-                         local.tolist()))
-        return lambda c: c.probe_many(pairs)
-
     def probe(self, db_id, index: int) -> int:
         """Exact value of global position ``index`` of ``db_id``."""
         self._metrics.inc(names.CLUSTER_PROBES)
@@ -551,10 +568,10 @@ class ShardRouter:
 
         Scatter: the batch is split into parallel arrays once, routed
         as arrays (:meth:`_route`) and each owning shard's slice is
-        dispatched concurrently — futures on the shared event loop for
-        the binary transport, one thread per shard otherwise (and for
-        hedged fetches on either transport).  Gather: each shard's
-        answers land in the output at their original request slots.
+        dispatched concurrently — futures on the shared event loop, or
+        one thread per shard when hedging is armed.  Gather: each
+        shard's answers land in the output at their original request
+        slots.
         """
         directory, db_slots, indices = split_positions(positions)
         self._metrics.inc(names.CLUSTER_BATCHES)
@@ -564,26 +581,28 @@ class ShardRouter:
             return out
         routed = self._route(directory, db_slots, indices)
         self._metrics.inc(names.CLUSTER_FANOUTS, len(routed))
-
-        fetch_values = (self._on_shard if self._hedge_after_ms is None
-                        else self._hedged_fetch)
-
-        def fetch(shard, slots, sub_slots, local):
-            out[slots] = fetch_values(
-                shard, self._shard_op(directory, sub_slots, local)
-            )
-
         if len(routed) == 1:
-            fetch(*routed[0])
-            return out
-        if self.transport == "binary" and self._hedge_after_ms is None:
+            shard, slots, sub_slots, local = routed[0]
+            fetch = (self._on_shard if self._hedge_after_ms is None
+                     else self._hedged_fetch)
+            out[slots] = fetch(shard, _packed_op(directory, sub_slots, local))
+        elif self._hedge_after_ms is None:
             self._scatter_async(directory, routed, out)
-            return out
+        else:
+            self._scatter_hedged(directory, routed, out)
+        return out
+
+    def _scatter_hedged(self, directory, routed: list,
+                        out: np.ndarray) -> None:
+        """Hedged scatter: one thread per shard, each running the
+        shard's :meth:`_hedged_fetch`."""
         failures: list = []
 
-        def worker(*sub_batch):
+        def hedged(shard, slots, sub_slots, local):
             try:
-                fetch(*sub_batch)
+                out[slots] = self._hedged_fetch(
+                    shard, _packed_op(directory, sub_slots, local)
+                )
             except Exception as exc:  # noqa: BLE001 — gathered and
                 # re-raised on the caller's thread below; a scatter
                 # thread must never die silently.
@@ -591,7 +610,7 @@ class ShardRouter:
 
         threads = [
             threading.Thread(
-                target=worker, args=sub_batch,
+                target=hedged, args=sub_batch,
                 name=f"shard-router-{sub_batch[0]}", daemon=True,
             )
             for sub_batch in routed
@@ -602,65 +621,57 @@ class ShardRouter:
             thread.join()
         if failures:
             raise failures[0]
-        return out
 
     def _scatter_async(self, directory, routed: list,
                        out: np.ndarray) -> None:
-        """Binary-transport scatter: every shard's sub-batch goes out as
-        a concurrent future on the shared event loop (no scatter
+        """Un-hedged scatter: every shard's sub-batch goes out as a
+        concurrent future on the shared event loop (no scatter
         threads).  A shard whose future fails in transport records a
         breaker failure and is replayed through the remaining healthy
         candidates; an overload shed replays the same way but leaves
-        the breaker untouched."""
+        the breaker untouched.  Every future is resolved — its client
+        returned to the pool or closed — before the first rejection is
+        raised."""
         deadline_at = (None if self._deadline is None
                        else self._clock() + self._deadline)
         inflight = []
         for shard, slots, sub_slots, local in routed:
             endpoint = self._health.candidates(shard)[0]
+            op = _packed_op(directory, sub_slots, local)
             try:
-                client = self._take_client(shard, endpoint)
-                future = client.submit_probe_packed(
-                    directory, sub_slots, local
-                )
-            except ProbeTransportError:
-                self._metrics.inc(names.CLUSTER_SHARD_ERRORS)
-                self._health.breaker(shard, endpoint).record_failure()
-                client = future = None  # replayed blocking, below
-            op = self._shard_op(directory, sub_slots, local)
+                client = self._checkout(shard, endpoint, deadline_at)
+            except ProbeError as exc:  # replayed or raised, below
+                inflight.append((shard, slots, op, endpoint, None, exc))
+                continue
+            try:
+                future = client.submit_probe_packed(directory, sub_slots,
+                                                    local)
+            except ProbeError as exc:
+                future = Future()
+                future.set_exception(exc)
             inflight.append((shard, slots, op, endpoint, client, future))
-        for shard, slots, op, endpoint, client, future in inflight:
-            if future is None:
-                values = self._failover_rest(
-                    shard, op, endpoint, deadline_at, last=None
-                )
-            else:
+        first_error = None
+        for shard, slots, op, endpoint, client, pending in inflight:
+            try:
                 try:
-                    values = future.result()
-                except ProbeOverloadedError as exc:
-                    self._metrics.inc(names.CLUSTER_OVERLOADS)
-                    self._return_client(shard, endpoint, client)
+                    if client is None:
+                        raise pending
+                    values = self._settle(shard, endpoint, client,
+                                          pending.result)
+                except (ProbeOverloadedError, ProbeTransportError) as exc:
                     values = self._failover_rest(
                         shard, op, endpoint, deadline_at, exc
                     )
-                except ProbeTransportError as exc:
-                    self._metrics.inc(names.CLUSTER_SHARD_ERRORS)
-                    self._health.breaker(shard, endpoint).record_failure()
-                    client.close()
-                    values = self._failover_rest(
-                        shard, op, endpoint, deadline_at, exc
-                    )
-                except ProbeError:
-                    self._health.breaker(shard, endpoint).record_success()
-                    self._return_client(shard, endpoint, client)
-                    raise
-                else:
-                    self._health.breaker(shard, endpoint).record_success()
-                    self._return_client(shard, endpoint, client)
-            out[slots] = values
+                out[slots] = values
+            except ProbeError as exc:
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
 
     def depth_of(self, db_id, index: int):
-        """Distances are not served over the wire; always ``None`` —
-        same contract as :class:`~repro.serve.client.ProbeClient`."""
+        """Distances are not routed; always ``None`` — the same answer
+        a paged shard server gives."""
         return None
 
     # ------------------------------------------------------------ best move
@@ -693,8 +704,8 @@ class ShardRouter:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Close every pooled client (and the shared binary event
-        loop); safe to call repeatedly."""
+        """Close every pooled client (and the shared event loop); safe
+        to call repeatedly."""
         with self._client_lock:
             pools = [dict(pool) for pool in self._clients]
             for pool in self._clients:

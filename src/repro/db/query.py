@@ -9,7 +9,7 @@ a replayed line must equal the stored value).
 ``dbs`` throughout is any *value source*: a resident
 :class:`~repro.db.store.DatabaseSet`, a
 :class:`~repro.serve.service.ProbeService` over a paged store, or a
-:class:`~repro.serve.client.ProbeClient` talking to a remote server —
+:class:`~repro.aserve.client.BinaryProbeClient` talking to a remote server —
 anything with ``__contains__`` plus either array indexing or the
 ``probe_many`` protocol.  Sources with ``probe_many`` get all successor
 lookups of one position as a single batch (one network round trip, one

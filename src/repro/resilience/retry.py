@@ -20,7 +20,7 @@ def backoff_delay(attempt: int, base: float, cap: float) -> float:
 
 @dataclass(frozen=True)
 class ReconnectPolicy:
-    """How hard a :class:`~repro.serve.client.ProbeClient` fights back.
+    """How hard a :class:`~repro.aserve.client.BinaryProbeClient` fights back.
 
     ``connect_attempts`` bounds attempts per (re-)connection;
     ``request_replays`` bounds transparent replays of one idempotent

@@ -4,16 +4,15 @@ Turns solved databases into a servable artifact: a paged on-disk format
 with O(1) block access (:mod:`~repro.serve.pagedstore`), an LRU block
 cache with a byte budget (:mod:`~repro.serve.cache`), a batched probe
 service over either storage backend (:mod:`~repro.serve.service`), and
-a TCP server/client pair speaking a length-prefixed JSON protocol
-(:mod:`~repro.serve.server` / :mod:`~repro.serve.client`).  See
-docs/SERVING.md.
+the JSON frame kind the probe server answers next to its binary frames
+(:mod:`~repro.serve.protocol`, :mod:`~repro.serve.ops`).  The server and
+its client live in :mod:`repro.aserve`.  See docs/SERVING.md.
 """
 
 from .cache import BlockCache
-from .client import ProbeClient, ProbeError
+from .client import ProbeError
 from .pagedstore import DEFAULT_BLOCK_POSITIONS, PagedStore, write_paged
 from .protocol import MAX_MESSAGE_BYTES, ProtocolError, recv_message, send_message
-from .server import ProbeServer
 from .service import MemoryBackend, PagedBackend, ProbeService
 
 __all__ = [
@@ -23,9 +22,7 @@ __all__ = [
     "MemoryBackend",
     "PagedBackend",
     "PagedStore",
-    "ProbeClient",
     "ProbeError",
-    "ProbeServer",
     "ProbeService",
     "ProtocolError",
     "recv_message",

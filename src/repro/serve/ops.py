@@ -1,11 +1,10 @@
-"""Transport-independent JSON request handling for the probe servers.
+"""JSON request handling for the probe server.
 
-The threaded :class:`~repro.serve.server.ProbeServer` and the asyncio
-:class:`~repro.aserve.server.AsyncProbeServer` (whose version-byte
-fallback keeps legacy clients working) must answer JSON requests
-*identically* — same ops, same response shapes, same error contract.
-Both delegate to one :class:`JsonRequestHandler` so the two transports
-cannot drift.
+:class:`~repro.aserve.server.AsyncProbeServer` answers JSON frames next
+to binary ones: its version-byte fallback hands every decoded JSON
+request to one :class:`JsonRequestHandler`, which holds the ops, the
+response shapes and the error contract of the JSON frame kind.  The
+handler touches no sockets, so it is testable on its own.
 """
 
 from __future__ import annotations
@@ -15,12 +14,25 @@ from ..obs import NULL_METRICS
 __all__ = ["JsonRequestHandler"]
 
 
+def _overloaded(budget) -> dict:
+    """The well-formed load-shedding answer to a JSON frame.
+
+    ``reason`` is machine-readable — clients surface it as
+    :class:`~repro.serve.client.ProbeOverloadedError` so routers can
+    fail over immediately without treating the endpoint as dead.
+    """
+    return {
+        "ok": False,
+        "error": f"server overloaded ({budget} requests in flight)",
+        "reason": "overloaded",
+    }
+
+
 class JsonRequestHandler:
     """Map one decoded JSON request dict to a JSON response dict.
 
     Pure request/response logic: no sockets, no threads.  Metrics land
-    in whatever scope the owning server passes (``serve.server`` for the
-    threaded server, ``aserve.server`` for the asyncio one).  Any
+    in whatever scope the owning server passes (``aserve.server``).  Any
     exception a handler raises is isolated to an ``ok: false`` response.
     """
 

@@ -1,9 +1,11 @@
-"""Length-prefixed JSON wire protocol for the probe server.
+"""Length-prefixed JSON frames: the JSON frame kind of the probe server.
 
 Every message — request or response — is one JSON object encoded as
-UTF-8, prefixed by its byte length as a big-endian uint32.  JSON keeps
-the protocol inspectable and language-neutral; the length prefix makes
-framing trivial over a stream socket.
+UTF-8, prefixed by its byte length as a big-endian uint32.  The probe
+server (:class:`~repro.aserve.server.AsyncProbeServer`) answers these
+frames on the same port as its binary frames, telling them apart by
+the first payload byte; JSON keeps the wire inspectable for outside
+clients and for the cluster's liveness ping.
 
 Requests carry an ``op`` field; responses carry ``ok`` (and ``error``
 when ``ok`` is false).  The operations, documented in docs/SERVING.md:
@@ -82,19 +84,16 @@ def send_message(sock: socket.socket, message: dict,
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
-def recv_message(sock: socket.socket, stop=None,
+def recv_message(sock: socket.socket,
                  max_bytes: int = MAX_MESSAGE_BYTES) -> dict | None:
-    """Receive one message; ``None`` on clean EOF (or ``stop`` set).
+    """Receive one message; ``None`` on clean EOF.
 
-    ``stop`` is an optional :class:`threading.Event` polled whenever the
-    socket times out, letting a serving thread exit between frames
-    during graceful shutdown.  Without ``stop``, a socket timeout
-    propagates to the caller (a client must not spin forever on a hung
-    server).  ``max_bytes`` caps the accepted frame length; an oversized
-    declaration raises :class:`OversizedFrameError` without buffering
-    any payload.
+    A socket timeout propagates to the caller (a client must not spin
+    forever on a hung server).  ``max_bytes`` caps the accepted frame
+    length; an oversized declaration raises :class:`OversizedFrameError`
+    without buffering any payload.
     """
-    header = _recv_exactly(sock, _LEN.size, stop)
+    header = _recv_exactly(sock, _LEN.size)
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
@@ -102,15 +101,9 @@ def recv_message(sock: socket.socket, stop=None,
         raise OversizedFrameError(
             f"frame of {length} bytes exceeds limit ({max_bytes})"
         )
-    payload = _recv_exactly(sock, length, stop)
+    payload = _recv_exactly(sock, length)
     if payload is None:
         raise ProtocolError("connection closed mid-message")
-    if payload[:1] == bytes([BINARY_VERSION]):
-        raise ProtocolError(
-            "binary-protocol frame (version 0xb1) on a JSON connection — "
-            "this endpoint speaks length-prefixed JSON only; serve with "
-            "--protocol binary or use a JSON client"
-        )
     try:
         message = json.loads(payload.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -120,19 +113,12 @@ def recv_message(sock: socket.socket, stop=None,
     return message
 
 
-def _recv_exactly(sock: socket.socket, n: int, stop=None) -> bytes | None:
+def _recv_exactly(sock: socket.socket, n: int) -> bytes | None:
     """Read exactly ``n`` bytes; ``None`` on EOF before the first byte."""
     chunks: list[bytes] = []
     received = 0
     while received < n:
-        try:
-            data = sock.recv(n - received)
-        except socket.timeout:
-            if stop is None:
-                raise  # no shutdown event to poll: surface the timeout
-            if stop.is_set():
-                return None
-            continue
+        data = sock.recv(n - received)
         if not data:
             if received == 0:
                 return None

@@ -18,7 +18,7 @@ Backends:
   more than the cache budget plus one block in memory.
 
 Anything exposing ``probe`` / ``probe_many`` / ``__contains__`` speaks
-the same protocol — the TCP :class:`~repro.serve.client.ProbeClient`
+the same protocol — the TCP :class:`~repro.aserve.client.BinaryProbeClient`
 does too, so ``repro.db.query`` and ``repro.db.search`` run unchanged
 over a remote server.
 """

@@ -62,7 +62,7 @@ def _literal_ok(token: str, universe, prefixes) -> bool:
 def _dynamic_head_ok(head: str, prefixes) -> bool:
     """A computed name's literal head must pin a declared dynamic
     family — either spelled in full (``simnet.sent.``) or as the scoped
-    tail of one (``op.`` under the ``serve.server`` scope)."""
+    tail of one (``op.`` under the ``aserve.server`` scope)."""
     if not head:
         return False
     return any(

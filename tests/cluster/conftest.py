@@ -2,8 +2,8 @@
 
 ``LocalCluster`` runs a real sharded serving cluster *in-process*: one
 :class:`~repro.serve.service.ProbeService` over each shard's paged file
-plus one :class:`~repro.serve.server.ProbeServer` per endpoint (primary
-and replicas), all on loopback ephemeral ports.  Tests get genuine
+plus one :class:`~repro.aserve.server.AsyncProbeServer` per endpoint
+(primary and replicas), all on loopback ephemeral ports.  Tests get genuine
 sockets, genuine scatter-gather, and a ``kill`` switch that takes an
 endpoint down hard — without subprocess management (the subprocess path
 is covered by ``scripts/cluster_smoke.py``).
@@ -23,7 +23,6 @@ from repro.aserve.server import AsyncProbeServer
 from repro.cluster.manifest import ShardManifest
 from repro.cluster.router import ShardRouter
 from repro.resilience import ReconnectPolicy
-from repro.serve.server import ProbeServer
 from repro.serve.service import ProbeService
 
 from tests.workloads import (  # noqa: F401 — shared across the suite
@@ -57,13 +56,11 @@ class LocalCluster:
     failure a router can meet short of a SIGKILLed subprocess.
     """
 
-    def __init__(self, directory, replicas: int = 0,
-                 protocol: str = "json"):
+    def __init__(self, directory, replicas: int = 0):
         self.directory = Path(directory)
         self.manifest = ShardManifest.load(self.directory)
         self.servers: list = []
         self.services: list[list[ProbeService]] = []
-        server_cls = AsyncProbeServer if protocol == "binary" else ProbeServer
         for shard_file in self.manifest.shard_files:
             shard_servers, shard_services = [], []
             for _ in range(1 + replicas):
@@ -72,7 +69,7 @@ class LocalCluster:
                     cache_bytes=SHARD_CACHE_BYTES,
                 )
                 shard_services.append(service)
-                shard_servers.append(server_cls(service).start())
+                shard_servers.append(AsyncProbeServer(service).start())
             self.servers.append(shard_servers)
             self.services.append(shard_services)
         self._dead: set = set()
@@ -105,17 +102,17 @@ class LocalCluster:
         service = ProbeService.from_paged(
             self.directory / shard_file, cache_bytes=SHARD_CACHE_BYTES,
         )
-        server = type(old)(service, host=old.host, port=old.port).start()
+        server = AsyncProbeServer(
+            service, host=old.host, port=old.port
+        ).start()
         self.servers[shard][endpoint] = server
         self.services[shard][endpoint] = service
         self._dead.discard(key)
 
-    def router(self, metrics=None, policy=FAST_POLICY,
-               transport: str = "json") -> ShardRouter:
+    def router(self, metrics=None, policy=FAST_POLICY) -> ShardRouter:
         """A fresh router over this cluster's current endpoints."""
         return ShardRouter(
             self.manifest, self.endpoints, metrics=metrics, policy=policy,
-            transport=transport,
         )
 
     def close(self) -> None:

@@ -1,11 +1,11 @@
-"""Router identity and failover over the binary transport.
+"""Router identity and failover over the pipelined binary clients.
 
 The exhaustive per-game binary differential lives in
 ``tests/serve/test_aserve.py``; this module pins the *cluster* claims:
-a ``transport="binary"`` ShardRouter — pipelined clients sharing one
-event-loop thread, future-based scatter instead of a thread per shard —
-answers bit-identically to the oracle and to the JSON-transport router,
-and fails over to replicas when a shard's primary dies mid-session.
+the ShardRouter — pipelined clients sharing one event-loop thread,
+future-based scatter instead of a thread per shard — answers
+bit-identically to the oracle, and fails over to replicas when a
+shard's primary dies mid-session.
 """
 
 import numpy as np
@@ -13,16 +13,17 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve.client import ProbeError
+from repro.staticcheck.catalog import CATALOG, DYNAMIC
 
 from .conftest import FAST_POLICY, LocalCluster, cluster_dir, solved_set
 
 
 @pytest.fixture(scope="module")
 def binary_cluster(tmp_path_factory):
-    """A three-shard awari cluster whose endpoints speak binary."""
+    """A three-shard awari cluster."""
     game, dbs = solved_set("awari")
     directory = cluster_dir("awari", 3, tmp_path_factory)
-    local = LocalCluster(directory, protocol="binary")
+    local = LocalCluster(directory)
     yield game, dbs, local
     local.close()
 
@@ -46,30 +47,14 @@ class TestBinaryRouterIdentity:
         expected = np.array(
             [int(dbs[d][i]) for d, i in pairs], dtype=np.int16
         )
-        with local.router(transport="binary") as router:
+        with local.router() as router:
             np.testing.assert_array_equal(
                 router.probe_many(pairs), expected
             )
 
-    def test_matches_json_transport(self, binary_cluster):
-        """Both transports over the same live shards answer the same
-        bytes (binary shard servers accept JSON clients, so the JSON
-        router runs against the identical cluster)."""
-        game, dbs, local = binary_cluster
-        rng = np.random.default_rng(13)
-        pairs = all_pairs(dbs)
-        rng.shuffle(pairs)
-        pairs = pairs[:500]
-        with local.router(transport="binary") as binary_router, \
-                local.router(transport="json") as json_router:
-            np.testing.assert_array_equal(
-                binary_router.probe_many(pairs),
-                json_router.probe_many(pairs),
-            )
-
     def test_single_probe_and_metadata(self, binary_cluster):
         game, dbs, local = binary_cluster
-        with local.router(transport="binary") as router:
+        with local.router() as router:
             assert router.game_name == dbs.game_name
             top = dbs.ids()[-1]
             assert router.probe(top, 0) == int(dbs[top][0])
@@ -77,29 +62,22 @@ class TestBinaryRouterIdentity:
             stats = router.stats()
             assert stats["shards"] == 3
 
-    def test_unknown_transport_rejected(self, binary_cluster):
-        game, dbs, local = binary_cluster
-        with pytest.raises(ValueError, match="transport"):
-            local.router(transport="carrier-pigeon")
-
 
 class TestBinaryRouterFailover:
     def test_dead_primary_changes_no_answer(self, tmp_path_factory):
         """Kill a shard primary under a live binary router: later
         scatters still come back bit-identical via the replica and the
-        failover is counted — same contract as the threaded transport."""
+        failover is counted."""
         game, dbs = solved_set("awari")
         directory = cluster_dir("awari", 2, tmp_path_factory)
-        local = LocalCluster(directory, replicas=1, protocol="binary")
+        local = LocalCluster(directory, replicas=1)
         registry = MetricsRegistry()
         pairs = all_pairs(dbs)
         expected = np.array(
             [int(dbs[d][i]) for d, i in pairs], dtype=np.int16
         )
         try:
-            with local.router(
-                metrics=registry, transport="binary"
-            ) as router:
+            with local.router(metrics=registry) as router:
                 np.testing.assert_array_equal(
                     router.probe_many(pairs), expected
                 )
@@ -117,12 +95,10 @@ class TestBinaryRouterFailover:
         ProbeError naming the shard — never a wrong answer."""
         game, dbs = solved_set("awari")
         directory = cluster_dir("awari", 2, tmp_path_factory)
-        local = LocalCluster(directory, replicas=0, protocol="binary")
+        local = LocalCluster(directory, replicas=0)
         pairs = all_pairs(dbs)
         try:
-            with local.router(
-                transport="binary", policy=FAST_POLICY
-            ) as router:
+            with local.router(policy=FAST_POLICY) as router:
                 assert router.probe_many(pairs[:50]).shape == (50,)
                 local.kill(shard=0, endpoint=0)
                 local.kill(shard=1, endpoint=0)
@@ -130,3 +106,33 @@ class TestBinaryRouterFailover:
                     router.probe_many(pairs)
         finally:
             local.close()
+
+
+class TestRouterMetricNames:
+    def test_every_router_metric_is_catalogued(self, tmp_path_factory):
+        """A scatter plus a failover exercise the router, its breakers
+        and its pipelined clients: every name they leave in the router's
+        registry must be one the catalog declares (the clients write
+        under ``aserve.client.``, not bare ``requests``)."""
+        game, dbs = solved_set("awari")
+        directory = cluster_dir("awari", 2, tmp_path_factory)
+        local = LocalCluster(directory, replicas=1)
+        registry = MetricsRegistry()
+        pairs = all_pairs(dbs)
+        try:
+            with local.router(metrics=registry) as router:
+                router.probe_many(pairs)
+                local.kill(shard=0, endpoint=0)
+                router.probe_many(pairs)
+        finally:
+            local.close()
+        snapshot = registry.snapshot()
+        emitted = {name for family in snapshot.values() for name in family}
+        assert registry.counters["cluster.failovers"] >= 1
+        assert registry.counters["aserve.client.requests"] >= 2
+        declared = {entry.name for entry in CATALOG}
+        prefixes = tuple(entry.prefix for entry in DYNAMIC)
+        stray = sorted(name for name in emitted
+                       if name not in declared
+                       and not name.startswith(prefixes))
+        assert stray == []

@@ -2,7 +2,7 @@
 
 ``cluster split --codec`` must be invisible end-to-end: for every
 paged-store codec, a 2-shard+replica awari cluster answers bit-identical
-to the oracle through both router transports, keeps answering through a
+to the oracle through the router, keeps answering through a
 primary kill (failover), and records the codec in the manifest it was
 split with.
 """
@@ -22,15 +22,13 @@ CODEC_IDS = [c.replace("+", "-") for c in CODECS]
 @pytest.fixture(scope="module", params=CODECS, ids=CODEC_IDS)
 def codec_cluster(request, tmp_path_factory):
     """(codec, game, dbs, LocalCluster) — a 2-shard awari cluster with
-    one replica per shard, split with the parametrized codec.  The
-    endpoints are async servers, whose JSON version-byte fallback lets
-    one cluster exercise both router transports."""
+    one replica per shard, split with the parametrized codec."""
     codec = request.param
     game, dbs = solved_set("awari")
     directory = cluster_dir(
         "awari", 2, tmp_path_factory, codec=codec
     )
-    local = LocalCluster(directory, replicas=1, protocol="binary")
+    local = LocalCluster(directory, replicas=1)
     yield codec, game, dbs, local
     local.close()
 
@@ -53,14 +51,13 @@ class TestCodecClusterIdentity:
         reloaded = ShardManifest.load(local.directory)
         assert reloaded.codec == codec
 
-    @pytest.mark.parametrize("transport", ["json", "binary"])
-    def test_scatter_gather_bit_identical(self, codec_cluster, transport):
+    def test_scatter_gather_bit_identical(self, codec_cluster):
         codec, _, dbs, local = codec_cluster
         pairs = all_pairs(dbs)
         expected = np.array(
             [int(dbs[d][i]) for d, i in pairs], dtype=np.int16
         )
-        with local.router(transport=transport) as router:
+        with local.router() as router:
             np.testing.assert_array_equal(
                 router.probe_many(pairs), expected, err_msg=codec
             )

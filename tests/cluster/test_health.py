@@ -2,13 +2,14 @@
 
 The breaker tests drive state transitions with an injected fake clock —
 no sleeping — and pin the transition counters the chaos soak and the
-CLI read.  The :func:`probe_endpoint` tests run against live servers of
-*both* wire protocols, because one probe implementation health-checking
-every cluster protocol is the whole point of the JSON ping fallback.
+CLI read.  The liveness tests run against a live probe server, which
+must pong to a ping in either frame kind: the JSON one
+:func:`probe_endpoint` sends, and the binary one its clients send.
 """
 
 import pytest
 
+from repro.aserve.client import BinaryProbeClient
 from repro.aserve.server import AsyncProbeServer
 from repro.cluster.health import (
     BREAKER_CLOSED,
@@ -19,7 +20,8 @@ from repro.cluster.health import (
     probe_endpoint,
 )
 from repro.obs import MetricsRegistry
-from repro.serve.server import ProbeServer
+from repro.resilience import ReconnectPolicy
+from repro.serve.client import ProbeError
 from repro.serve.service import ProbeService
 
 from tests.workloads import solved_set
@@ -155,18 +157,32 @@ def live_service():
     service.close()
 
 
+def binary_ping(host: str, port: int, timeout: float) -> bool:
+    """A binary-frame ping, False when nothing answers."""
+    try:
+        with BinaryProbeClient(host, port, timeout=timeout,
+                               policy=ReconnectPolicy(connect_attempts=1)
+                               ) as client:
+            return client.ping()
+    except ProbeError:
+        return False
+
+
+PINGS = {"json": probe_endpoint, "binary": binary_ping}
+
+
 class TestProbeEndpoint:
-    @pytest.mark.parametrize("server_cls", [ProbeServer, AsyncProbeServer],
-                             ids=["json", "binary"])
+    @pytest.mark.parametrize("frame_kind", sorted(PINGS))
     def test_live_server_pongs_on_both_protocols(self, live_service,
-                                                 server_cls):
-        server = server_cls(live_service).start()
+                                                 frame_kind):
+        ping = PINGS[frame_kind]
+        server = AsyncProbeServer(live_service).start()
         try:
-            assert probe_endpoint(server.host, server.port, timeout=5.0)
+            assert ping(server.host, server.port, timeout=5.0)
         finally:
             server.shutdown()
         # The very same address refuses after shutdown: no false pong.
-        assert not probe_endpoint(server.host, server.port, timeout=0.5)
+        assert not ping(server.host, server.port, timeout=0.5)
 
     def test_unused_port_is_not_alive(self):
         assert not probe_endpoint("127.0.0.1", 1, timeout=0.2)

@@ -413,19 +413,15 @@ class TestArrayRoutingMatchesScalarReference:
             assert sorted(pairs, key=repr) == sorted(want, key=repr)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("transport", ["json", "binary"])
-    def test_bad_positions_raise_before_any_client_is_taken(
-        self, kind, transport
-    ):
+    def test_bad_positions_raise_before_any_client_is_taken(self, kind):
         """Range and database checks belong to the pure routing step:
-        they fire before the pool is touched, on either transport, for
-        a batch and for a single probe alike."""
+        they fire before the pool is touched, for a batch and for a
+        single probe alike."""
         made = []
         router = ShardRouter(
             make_manifest(kind, SIZES, 2),
             [[("fake", PRIMARY_BASE + r)] for r in range(2)],
             client_factory=lambda host, port: made.append(port),
-            transport=transport,
         )
         with router:
             for bad in (119, -1):

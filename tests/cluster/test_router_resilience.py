@@ -92,9 +92,10 @@ class SlowClient(FakeClient):
 
 
 class PackedClient(FakeClient):
-    """What the binary transport calls: packed arrays in, the blocking
-    call or a future of it out — answered by ``probe_many``, so the
-    slow/failing subclasses behave the same on either transport."""
+    """What the router calls on a real client: packed arrays in, the
+    blocking call or a future of it out — answered by ``probe_many``, so
+    the slow/failing subclasses behave the same with or without the
+    router's pair-list adapter."""
 
     def probe_packed(self, directory, db_slots, local):
         return self.probe_many(
@@ -112,7 +113,7 @@ class PackedClient(FakeClient):
 
 
 class SlowPackedClient(PackedClient, SlowClient):
-    """A slow endpoint behind the binary transport's calls."""
+    """A slow endpoint behind the packed calls."""
 
 
 class BlackholedClient(FakeClient):
@@ -247,10 +248,10 @@ class TestHedgedReads:
         assert registry.counters.get("cluster.shard_errors", 0) == 0
 
     def test_binary_scatter_hedges_a_multi_shard_batch(self):
-        """The binary scatter used to skip the hedge whenever a batch
-        spanned more than one shard: both shards' primaries are slow
-        here, so every sub-batch must be hedged and answered by its
-        shard's backup."""
+        """The scatter once skipped the hedge whenever a batch spanned
+        more than one shard: both shards' primaries are slow here, so
+        every sub-batch must be hedged and answered by its shard's
+        backup."""
         log = []
         registry = MetricsRegistry()
 
@@ -262,7 +263,7 @@ class TestHedgedReads:
         pairs = [(5, i) for i in range(SIZES[5])]
         started = time.monotonic()
         with make_router(factory, n_shards=2, metrics=registry,
-                         transport="binary", hedge_after_ms=20) as router:
+                         hedge_after_ms=20) as router:
             values = router.probe_many(pairs)
         assert time.monotonic() - started < 0.45  # nobody waited it out
         part = make_manifest(2).partition_for(5)
@@ -313,6 +314,53 @@ class TestHedgedReads:
         assert registry.counters.get("cluster.hedges", 0) == 0
         assert registry.counters["cluster.failovers"] == 1
         assert registry.counters["cluster.shard_errors"] == 1
+
+
+class TestScatterBookkeeping:
+    def test_rejection_returns_every_shards_client_to_the_pool(self):
+        """One shard rejects its sub-batch (a plain ProbeError) while
+        the other answers: the scatter raises the rejection, but only
+        after every future is resolved, so both clients are back in the
+        pool and the next batch opens no new connection."""
+        made = []
+
+        class RejectingClient(PackedClient):
+            def probe_many(self, pairs):
+                super().probe_many(pairs)
+                raise ProbeError("db 5 not present")
+
+        def factory(host, port):
+            made.append(port)
+            cls = RejectingClient if port == PRIMARY_BASE else PackedClient
+            return cls(host, port, [])
+
+        pairs = [(5, i) for i in range(SIZES[5])]
+        with make_router(factory, n_shards=2, replicas=0) as router:
+            with pytest.raises(ProbeError, match="not present"):
+                router.probe_many(pairs)
+            assert sorted(made) == [PRIMARY_BASE, PRIMARY_BASE + 1]
+            assert [sorted(pool) for pool in router._clients] == [[0], [0]]
+            with pytest.raises(ProbeError, match="not present"):
+                router.probe_many(pairs)
+            assert sorted(made) == [PRIMARY_BASE, PRIMARY_BASE + 1]
+
+    def test_probe_many_only_clients_are_adapted(self):
+        """A client with nothing but ``probe_many(pairs)`` still serves a
+        multi-shard scatter: the router adapts the packed calls."""
+        log = []
+        factory = lambda host, port: FakeClient(host, port, log)
+        pairs = [(5, i) for i in range(SIZES[5])]
+        with make_router(factory, n_shards=2, replicas=0) as router:
+            values = router.probe_many(pairs)
+        part = make_manifest(2).partition_for(5)
+        for (db_id, index), value in zip(pairs, values):
+            assert value == encode(
+                PRIMARY_BASE + int(part.owner_of(index)),
+                int(part.to_local(index)),
+            )
+        assert sorted({port for port, _, _ in log}) == [
+            PRIMARY_BASE, PRIMARY_BASE + 1
+        ]
 
 
 class TestReinstatement:

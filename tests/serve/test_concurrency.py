@@ -1,9 +1,9 @@
 """Concurrency stress: the shared ``BlockCache`` under real threads.
 
-These tests pin the race this PR fixed (and staticcheck rule RA007 now
-proves absent): the threaded JSON server runs one thread per
-connection against one shared cache, and before the cache grew its
-``RLock`` the LRU reorder, hit/miss counters and byte gauges raced.
+These tests pin a race the cache's ``RLock`` fixed (and staticcheck
+rule RA007 now proves absent): any caller that shares one cache across
+threads — a thread-per-connection server once did — raced the LRU
+reorder, hit/miss counters and byte gauges before the lock.
 Against the pre-fix cache the accounting assertions here fail within a
 few hundred iterations (lost ``+=`` updates, ``OrderedDict``
 corruption, drifting byte gauges); against the locked cache every
@@ -22,10 +22,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.aserve.client import BinaryProbeClient
+from repro.aserve.server import AsyncProbeServer
 from repro.serve.cache import BlockCache
-from repro.serve.server import ProbeServer
 from repro.serve.service import ProbeService, split_positions
-from repro.serve.client import ProbeClient
 
 from tests.serve.conftest import N_THREADS, SMALL_BUDGET, run_threads
 from tests.workloads import BLOCK_POSITIONS
@@ -207,9 +207,9 @@ class TestBatchGatherUnderContention:
 
 
 class TestLiveServerStress:
-    """N client threads against one threaded ProbeServer over a paged
-    store with a deliberately tiny cache budget: zero wrong answers,
-    and the shared cache's accounting stays exact."""
+    """N client threads against one probe server over a paged store
+    with a deliberately tiny cache budget: zero wrong answers, and the
+    shared cache's accounting stays exact."""
 
     SINGLES = 40
     BATCHES = 12
@@ -221,7 +221,7 @@ class TestLiveServerStress:
         service = ProbeService.from_paged(
             awari_paged_path, cache_bytes=SMALL_BUDGET
         )
-        server = ProbeServer(service).start()
+        server = AsyncProbeServer(service).start()
         yield game, dbs, service, server
         server.shutdown()
         service.close()
@@ -258,7 +258,7 @@ class TestLiveServerStress:
 
         def worker(i):
             singles, batches = plans[i]
-            with ProbeClient(server.host, server.port) as client:
+            with BinaryProbeClient(server.host, server.port) as client:
                 for n, (d, idx) in enumerate(singles):
                     assert client.probe(d, idx) == int(dbs[d][idx])
                     if n % 10 == 0:
@@ -284,7 +284,7 @@ class TestLiveServerStress:
             for singles, batches in plans
         )
         # Exact: every get was one hit or one miss, none lost, none
-        # double-counted, across all connection threads.
+        # double-counted, across all connections.
         assert cache.hits + cache.misses == expected_gets
         assert len(cache) == cache.misses - cache.evictions
         resident = list(cache._blocks.values())
@@ -317,7 +317,7 @@ class TestLiveServerStress:
 
         def worker(i):
             mine = list(range(i, len(boards), N_THREADS))
-            with ProbeClient(server.host, server.port) as client:
+            with BinaryProbeClient(server.host, server.port) as client:
                 for k in mine:
                     want_value, want_moves = truths[k]
                     answer = client.best_move(boards[k])

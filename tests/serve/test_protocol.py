@@ -1,12 +1,12 @@
 """Protocol robustness: hostile and broken frames against a live server.
 
-Every case here attacks a running :class:`ProbeServer` with raw sockets
-— malformed JSON, truncated length prefixes, frames over the server's
-``max_message_bytes``, mid-frame disconnects — and asserts the contract
-of ``_serve_connection``: the client gets an ``ok: false`` response or
-a counted disconnect, the connection is torn down, and the server keeps
-answering *other* clients.  Never a hung connection, never an unhandled
-exception in a serving thread.
+Every case here attacks a running :class:`AsyncProbeServer` with raw
+sockets — malformed JSON, hostile binary frames, truncated length
+prefixes, frames over the server's ``max_message_bytes``, mid-frame
+disconnects — and asserts the contract of ``_serve_connection``: the
+client gets an error response or a counted disconnect, a broken stream
+is torn down, and the server keeps answering *other* clients.  Never a
+hung connection, never an exception escaping the event loop.
 """
 
 import socket
@@ -22,9 +22,8 @@ from repro.aserve.client import BinaryProbeClient
 from repro.aserve.server import AsyncProbeServer
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultPlan, ReconnectPolicy
-from repro.serve.client import ProbeClient, ProbeError
+from repro.serve.client import ProbeError
 from repro.serve.protocol import recv_message, send_message
-from repro.serve.server import ProbeServer
 from repro.serve.service import ProbeService
 
 #: Socket timeout for the attacking side: long enough for a loopback
@@ -39,12 +38,12 @@ def hardened(awari_solved):
     game, dbs = awari_solved
     registry = MetricsRegistry()
     service = ProbeService.from_database_set(dbs)
-    server = ProbeServer(
-        service, metrics=registry.scoped("serve.server"),
+    server = AsyncProbeServer(
+        service, metrics=registry.scoped("aserve.server"),
         max_message_bytes=4096,
     ).start()
-    # Capture any exception that escapes a serving thread: the isolation
-    # contract says none ever may.
+    # Capture any exception that escapes the server's thread: the
+    # isolation contract says none ever may.
     escaped = []
     previous_hook = threading.excepthook
 
@@ -69,16 +68,17 @@ def raw_connection(server) -> socket.socket:
 
 def server_still_answers(server, dbs) -> bool:
     """A fresh well-behaved client gets a correct answer."""
-    with ProbeClient(server.host, server.port, timeout=ATTACK_TIMEOUT) as c:
-        return c.probe(5, 0) == int(dbs[5][0])
+    with BinaryProbeClient(server.host, server.port,
+                           timeout=ATTACK_TIMEOUT) as client:
+        return client.probe(5, 0) == int(dbs[5][0])
 
 
 def wait_for_count(registry, names, minimum=1, timeout=ATTACK_TIMEOUT):
     """Poll until the summed counters reach ``minimum``.
 
-    The serving thread bumps its counters asynchronously with respect to
-    the attacking socket, so counter assertions must poll rather than
-    read once.
+    The server bumps its counters asynchronously with respect to the
+    attacking socket, so counter assertions must poll rather than read
+    once.
     """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -95,7 +95,7 @@ class TestMalformedFrames:
     def test_bad_json_gets_ok_false_then_close(self, hardened):
         server, registry, dbs = hardened
         with raw_connection(server) as sock:
-            payload = b"\xff\xfe{not json"
+            payload = b"{\xff\xfenot json"
             sock.sendall(len(payload).to_bytes(4, "big") + payload)
             response = recv_message(sock)
             assert response["ok"] is False
@@ -103,7 +103,7 @@ class TestMalformedFrames:
             # After a bad frame the stream cannot be re-synchronized:
             # the server must close, not hang.
             assert recv_message(sock) is None
-        wait_for_count(registry, ["serve.server.errors"])
+        wait_for_count(registry, ["aserve.server.errors"])
         assert server_still_answers(server, dbs)
 
     def test_non_object_json_rejected(self, hardened):
@@ -125,7 +125,7 @@ class TestMalformedFrames:
             response = recv_message(sock)
             assert response["ok"] is False
             assert "exceeds limit" in response["error"]
-        wait_for_count(registry, ["serve.server.errors"])
+        wait_for_count(registry, ["aserve.server.errors"])
         assert server_still_answers(server, dbs)
 
     def test_valid_json_unknown_op_keeps_connection(self, hardened):
@@ -160,12 +160,11 @@ class TestTornConnections:
         assert server_still_answers(server, dbs)
         wait_for_count(
             registry,
-            ["serve.server.errors", "serve.server.client_disconnects"],
+            ["aserve.server.errors", "aserve.server.client_disconnects"],
         )
 
     def test_client_vanishes_between_requests(self, hardened):
-        """An abrupt RST between frames never wedges the serving
-        thread."""
+        """An abrupt RST between frames never wedges the server."""
         server, registry, dbs = hardened
         sock = raw_connection(server)
         send_message(sock, {"op": "ping"})
@@ -178,95 +177,17 @@ class TestTornConnections:
         assert server_still_answers(server, dbs)
 
     def test_hostile_clients_leave_no_stuck_threads(self, hardened):
-        """After a burst of torn connections, shutdown-visible serving
-        threads drain (no thread is parked on a dead socket)."""
+        """After a burst of torn connections, every connection handler
+        leaves its read loop (each one counted as a disconnect) — none
+        is parked on a dead socket."""
         server, registry, dbs = hardened
         for _ in range(8):
             sock = raw_connection(server)
             sock.sendall((64).to_bytes(4, "big") + b"x")
             sock.close()
         assert server_still_answers(server, dbs)
-        # The accept loop prunes dead threads on the next accept; every
-        # connection above must eventually leave _serve_connection.
-        deadline = time.monotonic() + ATTACK_TIMEOUT
-        while time.monotonic() < deadline:
-            alive = [t for t in threading.enumerate()
-                     if t.name == f"probe-server-{server.port}-conn"
-                     and t.is_alive()]
-            if not alive:
-                break
-            time.sleep(0.1)
-        else:
-            raise AssertionError(
-                f"serving threads stuck on dead sockets: {alive}"
-            )
-
-
-class TestThreadedHardening:
-    def test_binary_frame_on_json_server_rejected_with_hint(self, hardened):
-        """A binary frame sent to the JSON-only threaded server gets a
-        well-formed ok:false naming the protocol mismatch — never a
-        hang, never a cryptic parse error."""
-        server, registry, dbs = hardened
-        with raw_connection(server) as sock:
-            sock.sendall(
-                frames.pack_frame(frames.encode_ping(1))
-            )
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "binary-protocol frame" in response["error"]
-            assert recv_message(sock) is None
-        assert server_still_answers(server, dbs)
-
-    def test_max_connections_rejects_with_ok_false(self, awari_solved):
-        """Beyond the cap, a connection is answered with a capacity
-        rejection and closed instead of getting a thread."""
-        game, dbs = awari_solved
-        registry = MetricsRegistry()
-        service = ProbeService.from_database_set(dbs)
-        server = ProbeServer(
-            service, metrics=registry.scoped("serve.server"),
-            max_connections=1,
-        ).start()
-        try:
-            with ProbeClient(server.host, server.port,
-                             timeout=ATTACK_TIMEOUT) as held:
-                assert held.ping()
-                with raw_connection(server) as sock:
-                    response = recv_message(sock)
-                    assert response["ok"] is False
-                    assert "capacity" in response["error"]
-            wait_for_count(registry, ["serve.server.connections_rejected"])
-            # The held connection is gone; capacity frees up (the accept
-            # loop prunes dead threads lazily, so poll).
-            deadline = time.monotonic() + ATTACK_TIMEOUT
-            while time.monotonic() < deadline:
-                try:
-                    assert server_still_answers(server, dbs)
-                    break
-                except (ProbeError, OSError):
-                    time.sleep(0.05)
-            else:
-                raise AssertionError("capacity never freed after close")
-        finally:
-            server.shutdown()
-            service.close()
-
-
-@pytest.fixture()
-def hardened_binary(awari_solved):
-    """A live AsyncProbeServer with a small frame cap, plus metrics and
-    ground truth."""
-    game, dbs = awari_solved
-    registry = MetricsRegistry()
-    service = ProbeService.from_database_set(dbs)
-    server = AsyncProbeServer(
-        service, metrics=registry.scoped("aserve.server"),
-        max_message_bytes=4096,
-    ).start()
-    yield server, registry, dbs
-    server.shutdown()
-    service.close()
+        wait_for_count(registry, ["aserve.server.client_disconnects"],
+                       minimum=8)
 
 
 def recv_frame(sock) -> bytes:
@@ -287,13 +208,6 @@ def recv_frame(sock) -> bytes:
     return payload
 
 
-def binary_still_answers(server, dbs) -> bool:
-    """A fresh pipelined client gets a correct answer."""
-    with BinaryProbeClient(server.host, server.port,
-                           timeout=ATTACK_TIMEOUT) as client:
-        return client.probe(5, 0) == int(dbs[5][0])
-
-
 class TestBinaryFuzz:
     """Hostile binary frames against the asyncio server: every case must
     end in an error frame or a counted disconnect with the event loop
@@ -301,11 +215,11 @@ class TestBinaryFuzz:
     shutdown (the fixture's ``shutdown()`` would block forever on a
     wedged handler)."""
 
-    def test_truncated_header_gets_error_frame(self, hardened_binary):
+    def test_truncated_header_gets_error_frame(self, hardened):
         """A binary frame shorter than the 8-byte header is answered
         with an error frame and the connection survives (the length
         prefix kept the stream in sync)."""
-        server, registry, dbs = hardened_binary
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall(frames.pack_frame(bytes([frames.BINARY_VERSION, 3])))
             response = frames.decode_response(recv_frame(sock))
@@ -316,10 +230,10 @@ class TestBinaryFuzz:
             pong = frames.decode_response(recv_frame(sock))
             assert pong.seq == 7 and pong.error is None
         wait_for_count(registry, ["aserve.server.errors"])
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
-    def test_bad_opcode_gets_error_frame(self, hardened_binary):
-        server, registry, dbs = hardened_binary
+    def test_bad_opcode_gets_error_frame(self, hardened):
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             payload = struct.pack(
                 ">BBHI", frames.BINARY_VERSION, 99, 0, 42
@@ -328,13 +242,12 @@ class TestBinaryFuzz:
             response = frames.decode_response(recv_frame(sock))
             assert response.error is not None and "opcode" in response.error
             assert response.seq == 42  # error still carries the seq
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
-    def test_oversized_from_prefix_rejected_then_closed(self,
-                                                        hardened_binary):
+    def test_oversized_from_prefix_rejected_then_closed(self, hardened):
         """A declared length over the cap is rejected from the 4-byte
         prefix alone — no payload buffered, connection closed."""
-        server, registry, dbs = hardened_binary
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall((4097).to_bytes(4, "big"))
             response = recv_message(sock)
@@ -342,22 +255,22 @@ class TestBinaryFuzz:
             assert "exceeds limit" in response["error"]
             assert recv_message(sock) is None
         wait_for_count(registry, ["aserve.server.errors"])
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
-    def test_mid_frame_disconnect_is_counted(self, hardened_binary):
+    def test_mid_frame_disconnect_is_counted(self, hardened):
         """A frame promising 100 bytes that dies after 10 is a counted
         disconnect, not an error loop."""
-        server, registry, dbs = hardened_binary
+        server, registry, dbs = hardened
         sock = raw_connection(server)
         sock.sendall((100).to_bytes(4, "big") + b"\xb1" + b"x" * 9)
         sock.close()
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
         wait_for_count(registry, ["aserve.server.client_disconnects"])
 
-    def test_unknown_version_byte_rejected(self, hardened_binary):
+    def test_unknown_version_byte_rejected(self, hardened):
         """Garbage that is neither 0xB1 nor JSON gets a well-formed
         ok:false naming the byte, then close."""
-        server, registry, dbs = hardened_binary
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             payload = b"\x00\x01\x02\x03"
             sock.sendall(len(payload).to_bytes(4, "big") + payload)
@@ -365,21 +278,21 @@ class TestBinaryFuzz:
             assert response["ok"] is False
             assert "unknown protocol version byte 0x00" in response["error"]
             assert recv_message(sock) is None
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
-    def test_empty_frame_rejected(self, hardened_binary):
-        server, registry, dbs = hardened_binary
+    def test_empty_frame_rejected(self, hardened):
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall((0).to_bytes(4, "big"))
             response = recv_message(sock)
             assert response["ok"] is False
             assert "empty frame" in response["error"]
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
-    def test_interleaved_json_on_binary_connection(self, hardened_binary):
+    def test_interleaved_json_on_binary_connection(self, hardened):
         """One connection freely mixing binary and JSON frames: dispatch
         is per frame, so both protocols answer on the same socket."""
-        server, registry, dbs = hardened_binary
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall(frames.pack_frame(frames.encode_ping(1)))
             assert frames.decode_response(recv_frame(sock)).seq == 1
@@ -392,24 +305,24 @@ class TestBinaryFuzz:
         wait_for_count(registry, ["aserve.server.frames_json"])
         wait_for_count(registry, ["aserve.server.frames_binary"], minimum=2)
 
-    def test_bad_json_on_binary_server_closes(self, hardened_binary):
-        """The JSON fallback keeps the threaded server's contract: a
-        malformed JSON frame answers ok:false and closes."""
-        server, registry, dbs = hardened_binary
+    def test_bad_json_on_binary_server_closes(self, hardened):
+        """A malformed JSON frame answers ok:false and closes: after a
+        bad JSON payload the stream cannot be trusted."""
+        server, registry, dbs = hardened
         with raw_connection(server) as sock:
             payload = b"{not json"
             sock.sendall(len(payload).to_bytes(4, "big") + payload)
             response = recv_message(sock)
             assert response["ok"] is False and "bad JSON" in response["error"]
             assert recv_message(sock) is None
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
-    def test_torn_burst_then_clean_drain(self, hardened_binary):
+    def test_torn_burst_then_clean_drain(self, hardened):
         """A burst of torn connections leaves nothing wedged: the server
         still answers, and the fixture's shutdown() — which waits for
         every connection task — completes (a stuck handler would hang
         the test)."""
-        server, registry, dbs = hardened_binary
+        server, registry, dbs = hardened
         for i in range(8):
             sock = raw_connection(server)
             if i % 2:
@@ -417,7 +330,7 @@ class TestBinaryFuzz:
             else:
                 sock.sendall(b"\x00\x00")
             sock.close()
-        assert binary_still_answers(server, dbs)
+        assert server_still_answers(server, dbs)
 
     def test_max_connections_cap(self, awari_solved):
         """Connections beyond the cap get the JSON capacity rejection;
@@ -441,7 +354,7 @@ class TestBinaryFuzz:
             deadline = time.monotonic() + ATTACK_TIMEOUT
             while time.monotonic() < deadline:
                 try:
-                    assert binary_still_answers(server, dbs)
+                    assert server_still_answers(server, dbs)
                     break
                 except (ProbeError, OSError):
                     time.sleep(0.05)

@@ -1,4 +1,10 @@
-"""TCP server + client end-to-end tests (loopback, ephemeral ports)."""
+"""TCP server + client end-to-end tests (loopback, ephemeral ports).
+
+The probe server is :class:`~repro.aserve.server.AsyncProbeServer`; the
+client is the pipelined :class:`~repro.aserve.client.BinaryProbeClient`,
+and the JSON frame kind is driven with raw ``send_message`` /
+``recv_message`` round trips.
+"""
 
 import socket
 import threading
@@ -6,9 +12,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.aserve import frames
+from repro.aserve.client import BinaryProbeClient
+from repro.aserve.server import AsyncProbeServer
 from repro.db.query import best_moves, optimal_line
 from repro.obs import MetricsRegistry
-from repro.serve.client import ProbeClient, ProbeError
+from repro.serve.client import ProbeError
 from repro.serve.ops import JsonRequestHandler
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
@@ -16,7 +25,6 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.server import ProbeServer
 from repro.serve.service import ProbeService
 
 
@@ -26,7 +34,7 @@ def served(awari_solved, awari_paged_path):
     (session-wide store; nothing is re-solved or re-paged here)."""
     game, dbs = awari_solved
     service = ProbeService.from_paged(awari_paged_path, cache_bytes=64 * 1024)
-    server = ProbeServer(service).start()
+    server = AsyncProbeServer(service).start()
     yield game, dbs, server
     server.shutdown()
     service.close()
@@ -35,8 +43,16 @@ def served(awari_solved, awari_paged_path):
 @pytest.fixture()
 def client(served):
     _, _, server = served
-    with ProbeClient(server.host, server.port) as c:
+    with BinaryProbeClient(server.host, server.port) as c:
         yield c
+
+
+def ask_json(server, message: dict) -> dict:
+    """One JSON frame round trip on a fresh raw connection."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5) as sock:
+        send_message(sock, message)
+        return recv_message(sock)
 
 
 class TestWire:
@@ -90,12 +106,12 @@ class TestWire:
 
 
 class TestBatchWireFormat:
-    """The JSON batch op casts indices once, as an array, on the server;
-    what travels and what comes back on an error stay what they were."""
+    """The batch op casts indices once, as an array; what travels and
+    what comes back on an error stay what they were."""
 
     def test_request_bytes(self):
         """Tuples, lists, numpy integers and iterators all travel as the
-        documented ``[[db, index], ...]`` of plain JSON numbers."""
+        same packed binary request frame."""
         payloads = []
         listener = socket.create_server(("127.0.0.1", 0))
 
@@ -106,16 +122,18 @@ class TestBatchWireFormat:
                     head = conn.recv(4, socket.MSG_WAITALL)
                     if not head:
                         return
-                    payloads.append(
-                        conn.recv(int.from_bytes(head, "big"),
-                                  socket.MSG_WAITALL)
-                    )
-                    send_message(conn, {"ok": True, "values": [0, 0]})
+                    payload = conn.recv(int.from_bytes(head, "big"),
+                                        socket.MSG_WAITALL)
+                    payloads.append(payload)
+                    conn.sendall(frames.pack_frame(frames.encode_values(
+                        frames.peek_seq(payload),
+                        np.zeros(2, dtype=np.int16),
+                    )))
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         try:
-            with ProbeClient(*listener.getsockname()) as c:
+            with BinaryProbeClient(*listener.getsockname()) as c:
                 c.probe_many([(5, 0), (5, 1)])
                 c.probe_many([[5, np.int64(0)], (5, np.int32(1))])
                 c.probe_many(iter([(5, 0), (5, 1)]))
@@ -123,9 +141,16 @@ class TestBatchWireFormat:
             thread.join(timeout=5)
             listener.close()
         assert not thread.is_alive()
-        assert payloads == [
-            b'{"op":"probe_many","positions":[[5,0],[5,1]]}'
-        ] * 3
+        assert len(payloads) == 3
+        requests = [frames.decode_request(p) for p in payloads]
+        assert [r.seq for r in requests] == [1, 2, 3]
+        for request in requests:
+            assert request.opcode == frames.OP_PROBE_MANY
+            assert list(request.directory) == [5]
+            assert request.db_slots.tolist() == [0, 0]
+            assert request.indices.tolist() == [0, 1]
+        # Only the sequence id differs between the three frames.
+        assert len({p[8:] for p in payloads}) == 1
 
     def test_answer_and_error_messages(self, served):
         _, dbs, server = served
@@ -162,8 +187,9 @@ class TestBatchWireFormat:
 
 class TestErrors:
     def test_unknown_op(self, served, client):
-        with pytest.raises(ProbeError, match="unknown op"):
-            client.request({"op": "explode"})
+        _, _, server = served
+        answer = ask_json(server, {"op": "explode"})
+        assert answer["ok"] is False and "unknown op" in answer["error"]
 
     def test_missing_database_over_wire(self, served, client):
         with pytest.raises(ProbeError, match="not present"):
@@ -174,8 +200,9 @@ class TestErrors:
             client.probe(5, 10**9)
 
     def test_bad_board_over_wire(self, served, client):
-        with pytest.raises(ProbeError, match="12 pit counts"):
-            client.request({"op": "best_move", "board": [1, 2, 3]})
+        _, _, server = served
+        answer = ask_json(server, {"op": "best_move", "board": [1, 2, 3]})
+        assert answer["ok"] is False and "12 pit counts" in answer["error"]
 
     def test_connection_survives_errors(self, served, client):
         """An application error must not poison the connection."""
@@ -245,7 +272,7 @@ class TestConcurrencyAndShutdown:
         def worker(seed):
             try:
                 rng = np.random.default_rng(seed)
-                with ProbeClient(server.host, server.port) as c:
+                with BinaryProbeClient(server.host, server.port) as c:
                     pairs = [
                         (5, int(i))
                         for i in rng.integers(0, dbs[5].shape[0], size=300)
@@ -270,11 +297,11 @@ class TestConcurrencyAndShutdown:
     def test_graceful_shutdown_with_connected_client(self, awari_solved):
         game, dbs = awari_solved
         service = ProbeService.from_database_set(dbs)
-        server = ProbeServer(service).start()
-        client = ProbeClient(server.host, server.port)
+        server = AsyncProbeServer(service).start()
+        client = BinaryProbeClient(server.host, server.port)
         assert client.probe(5, 0) == int(dbs[5][0])
-        server.shutdown()  # returns only once all threads joined
-        prefix = f"probe-server-{server.port}"
+        server.shutdown()  # returns only once the loop thread joined
+        prefix = f"aserve-{server.port}"
         for thread in threading.enumerate():
             assert not thread.name.startswith(prefix), thread
         client.close()
@@ -284,18 +311,19 @@ class TestConcurrencyAndShutdown:
         game, dbs = awari_solved
         registry = MetricsRegistry()
         service = ProbeService.from_database_set(dbs)
-        server = ProbeServer(
-            service, metrics=registry.scoped("serve.server")
+        server = AsyncProbeServer(
+            service, metrics=registry.scoped("aserve.server")
         ).start()
-        with ProbeClient(server.host, server.port) as client:
+        with BinaryProbeClient(server.host, server.port) as client:
             client.ping()
             client.probe(5, 0)
-            with pytest.raises(ProbeError):
-                client.request({"op": "nope"})
+        assert ask_json(server, {"op": "nope"})["ok"] is False
         server.shutdown()
         service.close()
         counters = registry.counters
-        assert counters["serve.server.connections"] == 1
-        assert counters["serve.server.requests"] == 2
-        assert counters["serve.server.op.probe"] == 1
-        assert counters["serve.server.errors"] == 1
+        assert counters["aserve.server.connections"] == 2
+        assert counters["aserve.server.requests"] == 2
+        assert counters["aserve.server.op.probe"] == 1
+        assert counters["aserve.server.errors"] == 1
+        assert counters["aserve.server.frames_binary"] == 2
+        assert counters["aserve.server.frames_json"] == 1

@@ -180,10 +180,11 @@ class TestServeCLI:
 
     @pytest.fixture(scope="class")
     def server(self, paged):
-        from repro.serve import ProbeServer, ProbeService
+        from repro.aserve import AsyncProbeServer
+        from repro.serve import ProbeService
 
         service = ProbeService.from_paged(paged, cache_bytes=8192)
-        server = ProbeServer(service).start()
+        server = AsyncProbeServer(service).start()
         yield server
         server.shutdown()
         service.close()
