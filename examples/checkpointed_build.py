@@ -21,17 +21,17 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = str(Path(tmp) / "awari-build")
 
-        # First session: build up to 5 stones with the threshold solver,
+        # First session: build up to 4 stones with the threshold solver,
         # then "get interrupted".
         cfg = PipelineConfig(backend="sequential", checkpoint_dir=ckpt)
-        _, first = PipelineRunner(game, cfg).run(5)
+        _, first = PipelineRunner(game, cfg).run(4)
         print(f"session 1: solved {first.solved} in {first.wall_seconds:.1f}s")
 
-        # Second session: extend to 7 stones using the *bounds* solver —
+        # Second session: extend to 5 stones on the simulated cluster —
         # the checkpoints interoperate because all backends produce
         # identical databases.
-        cfg2 = PipelineConfig(backend="bounds", checkpoint_dir=ckpt)
-        values, second = PipelineRunner(game, cfg2).run(7)
+        cfg2 = PipelineConfig(backend="parallel", checkpoint_dir=ckpt)
+        values, second = PipelineRunner(game, cfg2).run(5)
         print(
             f"session 2: resumed {second.resumed}, solved {second.solved} "
             f"in {second.wall_seconds:.1f}s"

@@ -8,13 +8,16 @@ mid-stream kill:
 2. ``repro cluster split`` — two cyclic shards + ``cluster.json``
 3. ``repro cluster up --replicas 1`` — four shard servers (2 shards x
    primary+replica) supervised by one subprocess
-4. 1,000 verified probes through a :class:`ShardRouter`; one third of
+4. 1,000 verified probes through a router with ``hedge_after_ms=0``:
+   every sub-batch still in flight is hedged on its replica over real
+   sockets — **zero** wrong answers, and ``cluster.hedges`` must count
+5. the same probes through a plain :class:`ShardRouter`; one third of
    the way in, shard 0's primary is SIGKILLed — the router must fail
    over to the replica with **zero** wrong answers and count the event
    on ``cluster.failovers``
-5. ``repro cluster probe`` — the CLI path answers over the degraded
+6. ``repro cluster probe`` — the CLI path answers over the degraded
    topology
-6. SIGINT — the supervisor reaps the surviving servers and exits 0
+7. SIGINT — the supervisor reaps the surviving servers and exits 0
    with ``cluster stopped``
 
 Exits non-zero on any mismatch, missing counter, or unclean shutdown;
@@ -110,10 +113,31 @@ def main() -> int:
         expected = np.array([int(dbs[d][i]) for d, i in pairs],
                             dtype=np.int16)
 
-        registry = MetricsRegistry()
         policy = ReconnectPolicy(connect_attempts=2, request_replays=1,
                                  backoff_seconds=0.05,
                                  backoff_max_seconds=0.2)
+
+        print(f"== {N_PROBES} hedged probes (hedge_after_ms=0)")
+        hedged_registry = MetricsRegistry()
+        with ShardRouter.from_topology(
+            topology, metrics=hedged_registry, policy=policy,
+            hedge_after_ms=0,
+        ) as router:
+            hedged = np.concatenate([
+                router.probe_many(pairs[start:start + BATCH])
+                for start in range(0, N_PROBES, BATCH)
+            ])
+        hedged_mismatches = int((hedged != expected).sum())
+        hedges = hedged_registry.counters.get("cluster.hedges", 0)
+        print(f"   {hedged_mismatches} mismatches, {hedges} hedges, "
+              f"{hedged_registry.counters.get('cluster.hedge_wins', 0)} "
+              "won by the replica")
+        if hedged_mismatches or hedges < 1:
+            print("FAIL: the hedged pass answered wrongly or never hedged",
+                  file=sys.stderr)
+            return 1
+
+        registry = MetricsRegistry()
         got: list = []
         killed = False
         print(f"== {N_PROBES} probes, SIGKILL shard 0 primary at "
@@ -169,6 +193,8 @@ def main() -> int:
             "stones": STONES,
             "probes": N_PROBES,
             "mismatches": mismatches,
+            "hedged_mismatches": hedged_mismatches,
+            "hedges": hedges,
             "killed_pid": victim.pid,
             "counters": counters,
         }, indent=2, sort_keys=True) + "\n")

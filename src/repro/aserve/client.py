@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 
 import numpy as np
 
@@ -366,25 +365,25 @@ class BinaryProbeClient:
         self._async: AsyncProbeClient | None = None
         self._closed = False
         self._info: dict | None = None
-        self._connect()
+        self._loop.run(self._connect())
 
     # ----------------------------------------------------------------- wire
 
-    def _connect(self) -> None:
+    async def _connect(self) -> None:
         attempts = max(self.policy.connect_attempts, 1)
         last: ProbeTransportError | None = None
         for attempt in range(1, attempts + 1):
             try:
-                self._async = self._loop.run(AsyncProbeClient.connect(
+                self._async = await AsyncProbeClient.connect(
                     self.host, self.port, timeout=self.timeout,
                     metrics=self.metrics, max_inflight=self._max_inflight,
-                ))
+                )
                 return
             except ProbeTransportError as exc:
                 last = exc
                 self._async = None
                 if attempt < attempts:
-                    time.sleep(self.policy.backoff(attempt))
+                    await asyncio.sleep(self.policy.backoff(attempt))
         raise ProbeTransportError(
             f"cannot connect to {self.host}:{self.port} after "
             f"{attempts} attempts: {last}"
@@ -401,15 +400,12 @@ class BinaryProbeClient:
         if self._async is not None:
             self._async.timeout = seconds
 
-    def _drop(self) -> None:
+    async def _drop(self) -> None:
         client, self._async = self._async, None
         if client is not None:
-            try:
-                self._loop.run(client.close())
-            except (RuntimeError, ProbeError, OSError):
-                pass  # teardown of an already-failed connection
+            await client.close()
 
-    def _live(self) -> AsyncProbeClient:
+    async def _live(self) -> AsyncProbeClient:
         """The open connection, re-established first when it was lost
         (counted on ``reconnects``) — unless reconnecting is off."""
         if self._closed:
@@ -420,27 +416,38 @@ class BinaryProbeClient:
                     f"connection to {self.host}:{self.port} lost and "
                     "reconnect is disabled"
                 )
-            self._drop()
-            self._connect()
+            await self._drop()
+            await self._connect()
             self.reconnects += 1
             self.metrics.inc("reconnects")
         return self._async
 
-    def _call(self, factory):
-        """Run ``factory(async_client)`` on the loop; transport failures
-        of these idempotent lookups are replayed over a fresh connection
-        within the policy's bounds."""
+    async def _replay(self, factory):
+        """Await ``factory(async_client)``; transport failures of these
+        idempotent lookups are replayed over a fresh connection within
+        the policy's bounds."""
         replays = self.policy.request_replays if self.reconnect else 0
         for attempt in range(replays + 1):
-            client = self._live()
+            client = await self._live()
             try:
-                return self._loop.run(factory(client))
+                return await factory(client)
             except ProbeTransportError:
-                self._drop()
-                if attempt >= replays:
+                await self._drop()
+                if attempt >= replays or self._closed:
                     raise
-                time.sleep(self.policy.backoff(attempt + 1))
+                await asyncio.sleep(self.policy.backoff(attempt + 1))
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _submit(self, factory):
+        """Start :meth:`_replay` on the loop: a
+        ``concurrent.futures.Future`` of its result."""
+        if self._closed:
+            raise ProbeError("client is closed")
+        return self._loop.submit(self._replay(factory))
+
+    def _call(self, factory):
+        """Run :meth:`_replay` on the loop and block for its result."""
+        return self._submit(factory).result()
 
     # ------------------------------------------------------------- metadata
 
@@ -516,10 +523,13 @@ class BinaryProbeClient:
         """Dispatch one pre-split batch without blocking; returns a
         ``concurrent.futures.Future`` of the value array.
 
-        No replay happens here — the caller (the router) owns failover.
+        The future runs the same reconnect-and-replay as the blocking
+        calls, so a dropped connection costs a scatter no more than it
+        costs :meth:`probe_packed`; the caller (the router) fails over
+        only once the policy is exhausted.
         """
-        return self._loop.submit(
-            self._live().probe_packed(directory, db_slots, indices)
+        return self._submit(
+            lambda c: c.probe_packed(directory, db_slots, indices)
         )
 
     def depth_of(self, db_id, index: int):
@@ -539,7 +549,7 @@ class BinaryProbeClient:
         if self._closed:
             return
         self._closed = True
-        self._drop()
+        self._loop.run(self._drop())
         if self._owns_loop:
             self._loop.close()
 

@@ -72,8 +72,10 @@ DEFAULT_RESET_SECONDS = 1.0
 class CircuitBreaker:
     """Closed → open → half-open → closed, driven by request outcomes.
 
-    Thread-safe (the router's scatter threads record outcomes
-    concurrently).  ``metrics`` counts transitions on the
+    Thread-safe: a router records outcomes on its caller's thread,
+    hedge stragglers included, while other attempts are still in
+    flight, and any thread may read ``state``.  ``metrics`` counts
+    transitions on the
     ``cluster.breaker.*`` family; ``clock`` is injectable for tests.
     """
 

@@ -45,22 +45,25 @@ socket timeout is capped to the remaining budget and the call fails
 with a loud ProbeError (counted on ``cluster.deadline_exceeded``) when
 the budget runs out, instead of letting retries stack timeouts.
 ``hedge_after_ms`` additionally arms hedged reads on the batched path:
-a sub-batch whose primary has not answered within the hedge delay is
-mirrored to the next-healthiest replica (counted on ``cluster.hedges``)
-and the first success wins (``cluster.hedge_wins``) — idempotent
-lookups make the duplicate harmless.
+a sub-batch whose primary has not answered within the hedge delay gets
+a second future on the next-healthiest replica (counted on
+``cluster.hedges``) and the first success wins
+(``cluster.hedge_wins``) — idempotent lookups make the duplicate
+harmless.
 
 One router instance is not safe for concurrent calls from multiple
-threads; the concurrency *inside* one ``probe_many`` call is safe
-because each in-flight attempt checks its client out of the pool and
-returns it only when done.
+threads.  Inside one call every attempt is a future on the shared loop
+that checks its client out of the pool, and every outcome — a hedge
+loser's included — is settled on the caller's thread.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import suppress
 
 import numpy as np
 
@@ -101,15 +104,11 @@ def _normalize_endpoints(endpoints) -> list:
     return groups
 
 
-def _packed_op(directory, db_slots, local):
-    """The blocking client call that fetches one routed sub-batch."""
-    return lambda c: c.probe_packed(directory, db_slots, local)
-
-
 class _PairsClient:
     """Adapter for a client that only speaks ``probe_many(pairs)``: the
     router's packed calls become a pair list, and the non-blocking
-    submit answers with an already-completed future.  Every other
+    submit answers synchronously — a completed future, or the failure
+    raised — so an adapted client is never hedged.  Every other
     attribute is the wrapped client's."""
 
     def __init__(self, client):
@@ -125,10 +124,7 @@ class _PairsClient:
 
     def submit_probe_packed(self, directory, db_slots, local):
         future: Future = Future()
-        try:
-            future.set_result(self.probe_packed(directory, db_slots, local))
-        except ProbeError as exc:
-            future.set_exception(exc)
+        future.set_result(self.probe_packed(directory, db_slots, local))
         return future
 
 
@@ -205,6 +201,8 @@ class ShardRouter:
         # the next batch.  {shard: {endpoint_index: client}}
         self._clients: list = [{} for _ in range(manifest.n_shards)]
         self._client_lock = threading.Lock()
+        # Attempts a race left in flight: [(shard, attempt)].
+        self._stragglers: list = []
         self._game = None
         self._metrics.set_gauge(names.CLUSTER_SHARDS, manifest.n_shards)
         self._metrics.set_gauge(
@@ -338,22 +336,18 @@ class ShardRouter:
         self._return_client(shard, endpoint, client)
         return result
 
-    def _attempt_once(self, shard: int, endpoint: int, op, deadline_at):
-        """Run ``op(client)`` against one endpoint with full breaker and
-        pool bookkeeping; re-raises the classified failure."""
-        client = self._checkout(shard, endpoint, deadline_at)
-        return self._settle(shard, endpoint, client, lambda: op(client))
-
     def _sequential(self, shard: int, op, candidates, deadline_at,
                     already: int = 0, last=None):
         """Try ``op`` on each candidate endpoint in order.  ``already``
-        counts endpoints a caller burned before handing over (hedged or
-        scatter first attempts), so the exhaustion message still names
+        counts endpoints a caller burned before handing over (a
+        scatter's raced attempts), so the exhaustion message still names
         the full endpoint count."""
         total = already + len(candidates)
         for i, endpoint in enumerate(candidates):
             try:
-                return self._attempt_once(shard, endpoint, op, deadline_at)
+                client = self._checkout(shard, endpoint, deadline_at)
+                return self._settle(shard, endpoint, client,
+                                    lambda: op(client))
             except (ProbeOverloadedError, ProbeTransportError) as exc:
                 last = exc
             # A plain ProbeError (application rejection, deadline)
@@ -369,25 +363,96 @@ class ShardRouter:
         """Run ``op(client)`` against a shard, failing over through the
         breaker-ordered endpoint list.  Each endpoint is tried at most
         once per call."""
-        deadline_at = (None if self._deadline is None
-                       else self._clock() + self._deadline)
         return self._sequential(
-            shard, op, self._health.candidates(shard), deadline_at
+            shard, op, self._health.candidates(shard), self._start_call()
         )
 
-    def _failover_rest(self, shard: int, op, failed_endpoint: int,
-                       deadline_at, last):
-        """After one endpoint already failed (scatter or hedge), replay
-        on every *other* candidate in health order."""
-        rest = [
-            e for e in self._health.candidates(shard)
-            if e != failed_endpoint
-        ]
-        if rest:
-            self._metrics.inc(names.CLUSTER_FAILOVERS)
-        return self._sequential(
-            shard, op, rest, deadline_at, already=1, last=last
-        )
+    def _start_call(self):
+        """Settle what earlier calls left in flight; this call's
+        deadline as a clock reading (``None`` without one)."""
+        self._settle_stragglers()
+        return (None if self._deadline is None
+                else self._clock() + self._deadline)
+
+    def _untried(self, shard: int, attempts: list) -> list:
+        """The shard's candidates, in health order, that no attempt of
+        this sub-batch has used."""
+        tried = {endpoint for endpoint, _, _ in attempts}
+        return [e for e in self._health.candidates(shard) if e not in tried]
+
+    def _submit(self, shard: int, endpoint: int, batch, deadline_at):
+        """Check one endpoint's client out and send it a sub-batch
+        without blocking: an ``(endpoint, client, future)`` attempt.  A
+        failed checkout has no client and an already-failed future (the
+        checkout counted it against the breaker)."""
+        client = None
+        try:
+            client = self._checkout(shard, endpoint, deadline_at)
+            future = client.submit_probe_packed(*batch)
+        except ProbeError as exc:
+            future = Future()
+            future.set_exception(exc)
+        return endpoint, client, future
+
+    def _outcome(self, shard: int, attempt):
+        """The values of a finished attempt, settled through its
+        breaker and the pool; re-raises the classified failure."""
+        endpoint, client, future = attempt
+        if client is None:
+            return future.result()
+        return self._settle(shard, endpoint, client, future.result)
+
+    def _race(self, shard: int, attempts: list, deadline_at):
+        """Wait on a sub-batch's attempts until one succeeds:
+        ``(winning endpoint, values)``.  A plain ProbeError propagates
+        at once; when every attempt failed in transport or overload the
+        last such failure is raised.  Attempts still in flight when the
+        race ends (a hedge loser, a deadline overrun) become
+        stragglers."""
+        pending, last = list(attempts), None
+        try:
+            while pending:
+                futures = [future for _, _, future in pending]
+                timeout = self._time_left(
+                    shard, deadline_at, last=last or "attempts still in flight"
+                )
+                if len(futures) > 1:
+                    wait(futures, timeout, FIRST_COMPLETED)
+                else:
+                    # Block on the one future itself: the waiter wait()
+                    # installs cost ~5 % of a 2-shard 1024-probe batch
+                    # (loopback shards, 2-vCPU host).
+                    with suppress(FutureTimeoutError):
+                        futures[0].exception(timeout)
+                for attempt in [a for a in pending if a[2].done()]:
+                    pending.remove(attempt)
+                    try:
+                        return attempt[0], self._outcome(shard, attempt)
+                    except (ProbeOverloadedError, ProbeTransportError) as exc:
+                        last = exc
+            raise last
+        finally:
+            self._stragglers.extend((shard, a) for a in pending)
+
+    def _settle_stragglers(self, closing: bool = False) -> None:
+        """Settle the attempts earlier races left in flight, on the
+        caller's thread: a finished one records its breaker outcome and
+        pools or closes its client; when ``closing``, an unfinished
+        one's client is closed.  Never run this from a future's
+        done-callback: that runs on the loop thread, where closing a
+        client blocks on its own loop."""
+        unfinished = []
+        for shard, attempt in self._stragglers:
+            if attempt[2].done():
+                try:
+                    self._outcome(shard, attempt)
+                except ProbeError:
+                    pass  # counted by the settle; its race is over
+            elif closing:
+                attempt[1].close()
+            else:
+                unfinished.append((shard, attempt))
+        self._stragglers = unfinished
 
     # ------------------------------------------------------------- metadata
 
@@ -475,103 +540,14 @@ class ShardRouter:
             self._on_shard(shard, lambda c: c.probe(db_id, local))
         )
 
-    def _hedged_fetch(self, shard: int, op):
-        """Batched fetch with a hedged backup: when the primary has not
-        answered within ``hedge_after_ms``, mirror the sub-batch to the
-        next-healthiest endpoint and take whichever answers first.  A
-        *fast* primary failure skips the hedge entirely and follows the
-        ordinary sequential failover path."""
-        deadline_at = (None if self._deadline is None
-                       else self._clock() + self._deadline)
-        candidates = self._health.candidates(shard)
-        if len(candidates) < 2:
-            return self._sequential(shard, op, candidates, deadline_at)
-        primary, backup, rest = candidates[0], candidates[1], candidates[2:]
-        cond = threading.Condition()
-        state: dict = {"winner": None, "values": None, "errors": {}}
-
-        def attempt(endpoint: int) -> None:
-            try:
-                values = self._attempt_once(shard, endpoint, op, deadline_at)
-            except ProbeError as exc:
-                with cond:
-                    state["errors"][endpoint] = exc
-                    cond.notify_all()
-                return
-            with cond:
-                if state["winner"] is None:
-                    state["winner"] = endpoint
-                    state["values"] = values
-                cond.notify_all()
-
-        threading.Thread(
-            target=attempt, args=(primary,),
-            name=f"shard-router-{shard}-primary", daemon=True,
-        ).start()
-        with cond:
-            cond.wait_for(
-                lambda: state["winner"] is not None
-                or primary in state["errors"],
-                timeout=self._hedge_after_ms / 1000.0,
-            )
-            winner = state["winner"]
-            primary_error = state["errors"].get(primary)
-        if winner is not None:
-            return state["values"]
-        if primary_error is not None:
-            # Fast failure, no hedge: ordinary sequential failover.
-            if not isinstance(primary_error,
-                              (ProbeTransportError, ProbeOverloadedError)):
-                raise primary_error
-            self._metrics.inc(names.CLUSTER_FAILOVERS)
-            return self._sequential(
-                shard, op, candidates[1:], deadline_at,
-                already=1, last=primary_error,
-            )
-        # Primary is merely slow: fire the hedge and race them.
-        self._metrics.inc(names.CLUSTER_HEDGES)
-        threading.Thread(
-            target=attempt, args=(backup,),
-            name=f"shard-router-{shard}-hedge", daemon=True,
-        ).start()
-        with cond:
-            resolved = cond.wait_for(
-                lambda: state["winner"] is not None
-                or len(state["errors"]) >= 2,
-                timeout=self._time_left(shard, deadline_at),
-            )
-            winner = state["winner"]
-            errors = dict(state["errors"])
-        if not resolved:
-            # Both attempts still hanging past the deadline; their
-            # capped socket timeouts will reap them in the background.
-            self._time_left(shard, deadline_at,
-                            last="hedged attempts still in flight")
-        if winner is not None:
-            if winner == backup:
-                self._metrics.inc(names.CLUSTER_HEDGE_WINS)
-            return state["values"]
-        for exc in (errors.get(primary), errors.get(backup)):
-            if not isinstance(exc,
-                              (ProbeTransportError, ProbeOverloadedError)):
-                raise exc
-        self._metrics.inc(names.CLUSTER_FAILOVERS)  # primary -> backup
-        if rest:
-            self._metrics.inc(names.CLUSTER_FAILOVERS)  # backup -> rest
-        return self._sequential(
-            shard, op, rest, deadline_at, already=2,
-            last=errors.get(backup) or errors.get(primary),
-        )
-
     def probe_many(self, positions) -> np.ndarray:
         """Values for ``[(db_id, index), ...]`` in request order.
 
         Scatter: the batch is split into parallel arrays once, routed
-        as arrays (:meth:`_route`) and each owning shard's slice is
-        dispatched concurrently — futures on the shared event loop, or
-        one thread per shard when hedging is armed.  Gather: each
-        shard's answers land in the output at their original request
-        slots.
+        as arrays (:meth:`_route`) and every owning shard's slice goes
+        out through :meth:`_scatter` as a future on the shared event
+        loop.  Gather: each shard's answers land in the output at their
+        original request slots.
         """
         directory, db_slots, indices = split_positions(positions)
         self._metrics.inc(names.CLUSTER_BATCHES)
@@ -581,93 +557,63 @@ class ShardRouter:
             return out
         routed = self._route(directory, db_slots, indices)
         self._metrics.inc(names.CLUSTER_FANOUTS, len(routed))
-        if len(routed) == 1:
-            shard, slots, sub_slots, local = routed[0]
-            fetch = (self._on_shard if self._hedge_after_ms is None
-                     else self._hedged_fetch)
-            out[slots] = fetch(shard, _packed_op(directory, sub_slots, local))
-        elif self._hedge_after_ms is None:
-            self._scatter_async(directory, routed, out)
-        else:
-            self._scatter_hedged(directory, routed, out)
+        self._scatter(directory, routed, out)
         return out
 
-    def _scatter_hedged(self, directory, routed: list,
-                        out: np.ndarray) -> None:
-        """Hedged scatter: one thread per shard, each running the
-        shard's :meth:`_hedged_fetch`."""
-        failures: list = []
-
-        def hedged(shard, slots, sub_slots, local):
-            try:
-                out[slots] = self._hedged_fetch(
-                    shard, _packed_op(directory, sub_slots, local)
-                )
-            except Exception as exc:  # noqa: BLE001 — gathered and
-                # re-raised on the caller's thread below; a scatter
-                # thread must never die silently.
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=hedged, args=sub_batch,
-                name=f"shard-router-{sub_batch[0]}", daemon=True,
-            )
-            for sub_batch in routed
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-
-    def _scatter_async(self, directory, routed: list,
-                       out: np.ndarray) -> None:
-        """Un-hedged scatter: every shard's sub-batch goes out as a
-        concurrent future on the shared event loop (no scatter
-        threads).  A shard whose future fails in transport records a
-        breaker failure and is replayed through the remaining healthy
-        candidates; an overload shed replays the same way but leaves
-        the breaker untouched.  Every future is resolved — its client
-        returned to the pool or closed — before the first rejection is
-        raised."""
-        deadline_at = (None if self._deadline is None
-                       else self._clock() + self._deadline)
-        inflight = []
+    def _scatter(self, directory, routed: list, out: np.ndarray) -> None:
+        """Every shard's sub-batch goes out as a future on the shared
+        event loop (no scatter threads).  With ``hedge_after_ms`` the
+        router waits up to the hedge delay, then gives each sub-batch
+        whose primary is still in flight one backup future on the next
+        candidate; the first success wins.  A transport failure records
+        a breaker failure and an overload shed does not; both replay
+        the sub-batch through the untried candidates.  Every sub-batch
+        is resolved before the first rejection is raised."""
+        deadline_at = self._start_call()
+        flights = []
         for shard, slots, sub_slots, local in routed:
-            endpoint = self._health.candidates(shard)[0]
-            op = _packed_op(directory, sub_slots, local)
-            try:
-                client = self._checkout(shard, endpoint, deadline_at)
-            except ProbeError as exc:  # replayed or raised, below
-                inflight.append((shard, slots, op, endpoint, None, exc))
-                continue
-            try:
-                future = client.submit_probe_packed(directory, sub_slots,
-                                                    local)
-            except ProbeError as exc:
-                future = Future()
-                future.set_exception(exc)
-            inflight.append((shard, slots, op, endpoint, client, future))
-        first_error = None
-        for shard, slots, op, endpoint, client, pending in inflight:
-            try:
-                try:
-                    if client is None:
-                        raise pending
-                    values = self._settle(shard, endpoint, client,
-                                          pending.result)
-                except (ProbeOverloadedError, ProbeTransportError) as exc:
-                    values = self._failover_rest(
-                        shard, op, endpoint, deadline_at, exc
+            batch = (directory, sub_slots, local)
+            primary = self._submit(shard, self._health.candidates(shard)[0],
+                                   batch, deadline_at)
+            flights.append((shard, slots, batch, [primary]))
+        if self._hedge_after_ms is not None:
+            wait([attempts[0][2] for *_, attempts in flights],
+                 timeout=self._hedge_after_ms / 1000.0)
+            for shard, _, batch, attempts in flights:
+                backups = self._untried(shard, attempts)
+                if backups and not attempts[0][2].done():
+                    self._metrics.inc(names.CLUSTER_HEDGES)
+                    attempts.append(
+                        self._submit(shard, backups[0], batch, deadline_at)
                     )
-                out[slots] = values
+        first_error = None
+        for shard, slots, batch, attempts in flights:
+            try:
+                out[slots] = self._gather(shard, batch, attempts,
+                                          deadline_at)
             except ProbeError as exc:
                 if first_error is None:
                     first_error = exc
         if first_error is not None:
             raise first_error
+
+    def _gather(self, shard: int, batch, attempts: list, deadline_at):
+        """One sub-batch's values: the race of its attempts, then
+        sequential failover through the untried candidates."""
+        try:
+            winner, values = self._race(shard, attempts, deadline_at)
+        except (ProbeOverloadedError, ProbeTransportError) as exc:
+            rest = self._untried(shard, attempts)
+            failovers = len(attempts) - 1 + (1 if rest else 0)
+            if failovers:
+                self._metrics.inc(names.CLUSTER_FAILOVERS, failovers)
+            return self._sequential(
+                shard, lambda c: c.probe_packed(*batch), rest, deadline_at,
+                already=len(attempts), last=exc,
+            )
+        if winner != attempts[0][0]:
+            self._metrics.inc(names.CLUSTER_HEDGE_WINS)
+        return values
 
     def depth_of(self, db_id, index: int):
         """Distances are not routed; always ``None`` — the same answer
@@ -704,8 +650,9 @@ class ShardRouter:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Close every pooled client (and the shared event loop); safe
-        to call repeatedly."""
+        """Settle or close every straggler, close every pooled client
+        (and the shared event loop); safe to call repeatedly."""
+        self._settle_stragglers(closing=True)
         with self._client_lock:
             pools = [dict(pool) for pool in self._clients]
             for pool in self._clients:

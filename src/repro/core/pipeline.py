@@ -14,9 +14,8 @@ disk is detected and rebuilt instead of half-trusted.  For long
 (:class:`~repro.resilience.RoundStore`) let a solve killed mid-database
 resume mid-database with bit-identical values.
 
-Backends: ``sequential`` (threshold RA), ``bounds`` (interval
-iteration), ``parallel`` (the simulated cluster), ``multiproc``
-(supervised process pool on real cores).  All produce identical
+Backends: ``sequential`` (threshold RA), ``parallel`` (the simulated
+cluster), ``multiproc`` (supervised process pool on real cores).  All produce identical
 databases; the manifest records which backend built what, so mixed
 resumes are fine.
 """
@@ -41,7 +40,6 @@ from ..resilience import (
     load_array_verified,
 )
 from ..resilience.faults import corrupt_file
-from .bounds import BoundsSolver
 from .parallel.driver import ParallelConfig, ParallelSolver
 from .sequential import SequentialSolver
 
@@ -49,7 +47,7 @@ __all__ = ["PipelineConfig", "PipelineRunner", "PipelineStatus"]
 
 _MANIFEST = "manifest.json"
 
-_BACKENDS = ("sequential", "bounds", "parallel", "multiproc")
+_BACKENDS = ("sequential", "parallel", "multiproc")
 
 
 @dataclass(frozen=True)
@@ -253,25 +251,6 @@ class PipelineRunner:
             )
             out = solver.solve_database(db_id, values, round_store=round_store)
             return out, build.snapshot()
-        if backend == "bounds":
-            # BoundsSolver exposes whole-pipeline solve only; reuse its
-            # internals for one database.
-            from .graph import build_database_graph
-            from .bounds import solve_bounds
-            from .values import NO_EXIT
-
-            with build.phase(names.BOUNDS_SOLVE_DATABASE):
-                graph = build_database_graph(self.game, db_id, values)
-                bound = self.game.value_bound(db_id)
-                build.inc(names.BOUNDS_DATABASES)
-                build.inc(names.BOUNDS_POSITIONS_SCANNED, graph.size)
-                if bound == 0:
-                    vals = graph.best_exit.astype(np.int16)
-                    vals[vals == np.int16(NO_EXIT)] = 0
-                    return vals, build.snapshot()
-                result = solve_bounds(graph, bound)
-                build.inc(names.BOUNDS_SWEEPS, result.sweeps)
-            return result.values, build.snapshot()
         solver = ParallelSolver(self.game, self.config.parallel, metrics=build)
         out, _ = solver.solve_database(db_id, values)
         return out, build.snapshot()

@@ -54,22 +54,27 @@ class LocalCluster:
     first, replicas after.  ``kill(shard, endpoint)`` stops a server and
     closes its service so later connections are refused — the sharpest
     failure a router can meet short of a SIGKILLed subprocess.
+    ``faults`` maps a shard to the
+    :class:`~repro.resilience.FaultPlan` its servers run.
     """
 
-    def __init__(self, directory, replicas: int = 0):
+    def __init__(self, directory, replicas: int = 0, faults=None):
         self.directory = Path(directory)
         self.manifest = ShardManifest.load(self.directory)
         self.servers: list = []
         self.services: list[list[ProbeService]] = []
-        for shard_file in self.manifest.shard_files:
+        for shard, shard_file in enumerate(self.manifest.shard_files):
             shard_servers, shard_services = [], []
+            plan = (faults or {}).get(shard)
             for _ in range(1 + replicas):
                 service = ProbeService.from_paged(
                     self.directory / shard_file,
                     cache_bytes=SHARD_CACHE_BYTES,
                 )
                 shard_services.append(service)
-                shard_servers.append(AsyncProbeServer(service).start())
+                shard_servers.append(
+                    AsyncProbeServer(service, faults=plan).start()
+                )
             self.servers.append(shard_servers)
             self.services.append(shard_services)
         self._dead: set = set()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.resilience import FaultPlan
 from repro.serve.client import ProbeError
 from repro.staticcheck.catalog import CATALOG, DYNAMIC
 
@@ -89,6 +90,32 @@ class TestBinaryRouterFailover:
         finally:
             local.close()
         assert registry.counters["cluster.shard_errors"] >= 1
+
+    def test_scatter_replays_a_dropped_connection(self, tmp_path_factory):
+        """Shard 0 drops every 2nd accepted connection and has no
+        replica.  A multi-shard scatter gets the client's per-connection
+        replay, as a blocking call does: every batch through a fresh
+        router is answered, with no shard error and no breaker trip."""
+        game, dbs = solved_set("awari")
+        directory = cluster_dir("awari", 2, tmp_path_factory)
+        local = LocalCluster(directory, faults={
+            0: FaultPlan.from_specs(["drop-conn:every=2"]),
+        })
+        registry = MetricsRegistry()
+        rng = np.random.default_rng(29)
+        pairs = all_pairs(dbs)
+        try:
+            for _ in range(20):
+                batch = [pairs[i] for i in rng.choice(len(pairs), 64)]
+                expected = [int(dbs[d][i]) for d, i in batch]
+                with local.router(metrics=registry) as router:
+                    assert router.probe_many(batch).tolist() == expected
+        finally:
+            local.close()
+        assert registry.counters["cluster.fanouts"] == 40  # both shards
+        assert registry.counters["aserve.client.reconnects"] >= 1
+        assert registry.counters.get("cluster.shard_errors", 0) == 0
+        assert registry.counters.get("cluster.breaker.opens", 0) == 0
 
     def test_no_replica_fails_loudly(self, tmp_path_factory):
         """With nothing to fail over to, exhaustion surfaces as a

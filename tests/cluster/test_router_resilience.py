@@ -42,6 +42,8 @@ def encode(port: int, local: int) -> int:
 class FakeClient:
     """Records requests; answers with endpoint-identifying values."""
 
+    closed = False
+
     def __init__(self, host, port, log):
         self.host, self.port, self.log = host, port, log
         self.timeouts: list = []
@@ -63,7 +65,7 @@ class FakeClient:
         )
 
     def close(self):
-        pass
+        self.closed = True
 
 
 class OverloadedClient(FakeClient):
@@ -95,7 +97,8 @@ class PackedClient(FakeClient):
     """What the router calls on a real client: packed arrays in, the
     blocking call or a future of it out — answered by ``probe_many``, so
     the slow/failing subclasses behave the same with or without the
-    router's pair-list adapter."""
+    router's pair-list adapter.  Like the real client, the future is
+    answered on another thread, after ``submit_probe_packed`` returned."""
 
     def probe_packed(self, directory, db_slots, local):
         return self.probe_many(
@@ -105,10 +108,16 @@ class PackedClient(FakeClient):
 
     def submit_probe_packed(self, directory, db_slots, local):
         future: Future = Future()
-        try:
-            future.set_result(self.probe_packed(directory, db_slots, local))
-        except ProbeError as exc:
-            future.set_exception(exc)
+
+        def answer():
+            try:
+                future.set_result(
+                    self.probe_packed(directory, db_slots, local)
+                )
+            except ProbeError as exc:
+                future.set_exception(exc)
+
+        threading.Thread(target=answer, daemon=True).start()
         return future
 
 
@@ -232,8 +241,8 @@ class TestHedgedReads:
 
         def factory(host, port):
             if port < REPLICA_BASE:
-                return SlowClient(host, port, log, delay=0.5)
-            return FakeClient(host, port, log)
+                return SlowPackedClient(host, port, log, delay=0.5)
+            return PackedClient(host, port, log)
 
         pairs = [(5, i) for i in range(SIZES[5])]
         with make_router(factory, metrics=registry,
@@ -314,6 +323,51 @@ class TestHedgedReads:
         assert registry.counters.get("cluster.hedges", 0) == 0
         assert registry.counters["cluster.failovers"] == 1
         assert registry.counters["cluster.shard_errors"] == 1
+
+
+class TestHedgeStragglers:
+    """An attempt still in flight when its sub-batch is decided — a
+    hedge loser, or both attempts past the deadline — is settled by the
+    router's next call or by ``close()``, never left holding a client."""
+
+    @staticmethod
+    def slow_router(made, primary_delay, backup_delay, **kwargs):
+        def factory(host, port):
+            delay = primary_delay if port < REPLICA_BASE else backup_delay
+            made.append(SlowPackedClient(host, port, [], delay=delay))
+            return made[-1]
+
+        return make_router(factory, hedge_after_ms=20, **kwargs)
+
+    def test_hedge_loser_is_closed_by_close(self):
+        made = []
+        registry = MetricsRegistry()
+        router = self.slow_router(made, 0.3, 0.0, metrics=registry)
+        pairs = [(5, i) for i in range(SIZES[5])]
+        values = router.probe_many(pairs)
+        router.close()
+        assert values.tolist() == [encode(REPLICA_BASE, i) for i in range(40)]
+        assert registry.counters["cluster.hedge_wins"] == 1
+        time.sleep(0.45)  # past the primary's answer
+        assert [c.port for c in made] == [PRIMARY_BASE, REPLICA_BASE]
+        assert all(client.closed for client in made)
+
+    def test_attempts_past_the_deadline_are_closed_by_close(self):
+        made = []
+        registry = MetricsRegistry()
+        deadline = 0.2
+        router = self.slow_router(made, 0.8, 0.8, metrics=registry,
+                                  deadline=deadline)
+        pairs = [(5, i) for i in range(SIZES[5])]
+        started = time.monotonic()
+        with pytest.raises(ProbeError, match="deadline"):
+            router.probe_many(pairs)
+        assert time.monotonic() - started < deadline + 0.4  # < 0.8
+        router.close()
+        assert registry.counters["cluster.deadline_exceeded"] == 1
+        time.sleep(0.7)  # past both answers
+        assert [c.port for c in made] == [PRIMARY_BASE, REPLICA_BASE]
+        assert all(client.closed for client in made)
 
 
 class TestScatterBookkeeping:

@@ -18,7 +18,7 @@ def reference():
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["sequential", "bounds", "parallel"])
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
     def test_backend_produces_reference_values(self, backend, reference):
         game = AwariCaptureGame()
         cfg = PipelineConfig(backend=backend)
@@ -49,16 +49,17 @@ class TestCheckpointing:
 
     def test_manifest_records_backend(self, tmp_path):
         game = AwariCaptureGame()
-        cfg = PipelineConfig(backend="bounds", checkpoint_dir=str(tmp_path))
+        cfg = PipelineConfig(backend="parallel", checkpoint_dir=str(tmp_path))
         PipelineRunner(game, cfg).run(2)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["game"] == "awari"
-        assert manifest["databases"]["2"]["backend"] == "bounds"
+        assert manifest["databases"]["2"]["backend"] == "parallel"
 
     def test_mixed_backend_resume(self, tmp_path, reference):
         game = AwariCaptureGame()
         PipelineRunner(
-            game, PipelineConfig(backend="bounds", checkpoint_dir=str(tmp_path))
+            game,
+            PipelineConfig(backend="parallel", checkpoint_dir=str(tmp_path)),
         ).run(3)
         values, status = PipelineRunner(
             game,
