@@ -13,9 +13,8 @@ subprocess:
    :class:`~repro.aserve.client.BinaryProbeClient` connection —
    every batch in flight at once, every answer checked — then single
    ``probe`` calls on the same client
-5. raw JSON ``probe_many`` frames on the SAME port — the version-byte
-   fallback — plus a deliberate garbage frame that must come back as a
-   well-formed ``ok: false``
+5. a deliberate garbage frame on the same port that must come back as
+   an error frame on sequence id 0, followed by a close
 6. :class:`~repro.aserve.local.LocalProbeClient` over the raw store —
    the zero-copy mmap path, verified against the same oracle
 7. ``repro probe`` — the CLI front door: ``--endpoint`` in its TCP and
@@ -31,7 +30,6 @@ Run:  PYTHONPATH=src python scripts/aserve_smoke.py [artifact.json]
 import json
 import signal
 import socket
-import struct
 import subprocess
 import sys
 import tempfile
@@ -70,43 +68,20 @@ def cli(*args: str) -> str:
 
 
 def garbage_frame_rejected(host: str, port: int) -> bool:
-    """Send a garbage first frame; the reply must be well-formed
-    ``ok: false`` JSON and the connection must close — never a hang."""
+    """Send a garbage first frame; the reply must be one error frame on
+    sequence id 0 and the connection must close — never a hang."""
+    from repro.aserve import frames
+
     with socket.create_connection((host, port), timeout=10.0) as sock:
-        sock.sendall(struct.pack(">I", 4) + b"\x00\xde\xad\xbf")
-        head = b""
-        while len(head) < 4:
-            chunk = sock.recv(4 - len(head))
-            if not chunk:
+        sock.sendall(frames.pack_frame(b"\x00\xde\xad\xbf"))
+        with sock.makefile("rb") as stream:
+            head = stream.read(frames.LENGTH.size)
+            if len(head) < frames.LENGTH.size:
                 return False
-            head += chunk
-        (length,) = struct.unpack(">I", head)
-        payload = b""
-        while len(payload) < length:
-            chunk = sock.recv(length - len(payload))
-            if not chunk:
-                return False
-            payload += chunk
-        response = json.loads(payload.decode())
-        closed = sock.recv(1) == b""
-    return response.get("ok") is False and closed
-
-
-def json_probe_many(host: str, port: int, batches) -> np.ndarray:
-    """Every batch as one raw JSON ``probe_many`` frame on one
-    connection; the values in request order."""
-    from repro.serve.protocol import recv_message, send_message
-
-    values = []
-    with socket.create_connection((host, port), timeout=10.0) as sock:
-        for batch in batches:
-            send_message(sock, {"op": "probe_many",
-                                "positions": [list(p) for p in batch]})
-            response = recv_message(sock)
-            if not (response and response.get("ok")):
-                raise RuntimeError(f"JSON probe_many failed: {response}")
-            values.extend(response["values"])
-    return np.asarray(values, dtype=np.int16)
+            (length,) = frames.LENGTH.unpack(head)
+            response = frames.decode_response(stream.read(length))
+            closed = stream.read(1) == b""
+    return response.seq == 0 and response.error is not None and closed
 
 
 def main() -> int:
@@ -174,16 +149,7 @@ def main() -> int:
             print("FAIL: binary answers diverged", file=sys.stderr)
             return 1
 
-        print("== raw JSON probe_many frames on the same port")
-        json_mismatches = int(
-            (json_probe_many(host, port, batches) != expected).sum()
-        )
-        print(f"   {json_mismatches} mismatches")
-        if json_mismatches:
-            print("FAIL: JSON fallback diverged", file=sys.stderr)
-            return 1
-
-        print("== garbage first frame -> well-formed ok:false")
+        print("== garbage first frame -> error frame on seq 0, then close")
         if not garbage_frame_rejected(host, port):
             print("FAIL: garbage frame was not cleanly rejected",
                   file=sys.stderr)
@@ -237,7 +203,6 @@ def main() -> int:
             "pipeline_depth": PIPELINE_DEPTH,
             "binary_mismatches": binary_mismatches,
             "single_mismatches": single_mismatches,
-            "json_mismatches": json_mismatches,
             "local_mismatches": local_mismatches,
         }, indent=2, sort_keys=True) + "\n")
         print(f"== aserve smoke OK (artifact: {artifact})")

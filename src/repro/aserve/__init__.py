@@ -2,8 +2,8 @@
 
 The network half of serving, over the stores of :mod:`repro.serve`: a
 versioned struct-packed binary frame format
-(:mod:`~repro.aserve.frames`), the asyncio probe server answering binary
-and JSON frames on one port (:mod:`~repro.aserve.server`), a pipelined
+(:mod:`~repro.aserve.frames`), the asyncio probe server that answers
+them (:mod:`~repro.aserve.server`), a pipelined
 async client with a blocking probe-protocol facade
 (:mod:`~repro.aserve.client`), and a zero-copy
 mmap fast path for local stores (:mod:`~repro.aserve.local`).  See

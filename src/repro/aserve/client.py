@@ -96,10 +96,10 @@ class AsyncProbeClient:
 
     Construct with :meth:`connect` (must run on the event loop).  Any
     number of request coroutines may be awaited concurrently; the
-    in-flight window is bounded by ``max_inflight``.  Transport loss
-    fails every pending request with
-    :class:`~repro.serve.client.ProbeTransportError`; an error frame for
-    one sequence id fails only that request, with
+    in-flight window is bounded by ``max_inflight``.  Transport loss, or
+    a refusal on the reserved sequence id 0, fails every pending request
+    with :class:`~repro.serve.client.ProbeTransportError`; an error frame
+    for one sequence id fails only that request, with
     :class:`~repro.serve.client.ProbeError`.
     """
 
@@ -155,17 +155,17 @@ class AsyncProbeClient:
                     raise frames.FrameError(
                         f"response frame of {length} bytes exceeds limit"
                     )
-                payload = await self._reader.readexactly(length)
-                if payload[:1] != frames.VERSION_BYTE:
-                    # A JSON rejection (capacity, unknown version…) is a
-                    # connection-scoped refusal, always followed by a
-                    # close: surface it as a transport failure so
-                    # routers fail over.
+                response = frames.decode_response(
+                    await self._reader.readexactly(length)
+                )
+                if response.seq == 0:
+                    # No request carries seq 0: an error frame on it is a
+                    # connection-scoped refusal (capacity, oversized or
+                    # unknown frame), always followed by a close — a
+                    # transport failure, so routers fail over.
                     raise ProbeTransportError(
-                        "server rejected the connection: "
-                        + self._json_error(payload)
+                        f"server rejected the connection: {response.error}"
                     )
-                response = frames.decode_response(payload)
                 future = self._pending.pop(response.seq, None)
                 if future is not None and not future.done():
                     if response.error is not None:
@@ -190,16 +190,6 @@ class AsyncProbeClient:
             self._fail_all(ProbeTransportError("client closed"))
             raise
 
-    @staticmethod
-    def _json_error(payload: bytes) -> str:
-        try:
-            import json
-
-            obj = json.loads(payload.decode())
-            return str(obj.get("error", obj))
-        except (UnicodeDecodeError, ValueError):
-            return f"unparseable {len(payload)}-byte response"
-
     def _fail_all(self, exc: ProbeTransportError) -> None:
         self._closed = True
         self._lost = exc
@@ -215,7 +205,8 @@ class AsyncProbeClient:
         if self._closed:
             raise self._lost or ProbeTransportError("connection is closed")
         async with self._window:
-            self._seq = (self._seq + 1) & 0xFFFFFFFF
+            # 1 .. 2**32 - 1: sequence id 0 is the server's refusal.
+            self._seq = self._seq % 0xFFFFFFFF + 1
             seq = self._seq
             future = asyncio.get_running_loop().create_future()
             self._pending[seq] = future

@@ -1,18 +1,14 @@
 """Versioned struct-packed binary frames for the probe protocol.
 
-The JSON wire protocol (:mod:`repro.serve.protocol`) spends most of a
-batched probe's budget encoding and decoding text.  This module defines
-the binary twin: the same operations, fixed-width records, and numpy
-bulk encode/decode for batches — no per-probe JSON anywhere on the hot
-path.
+The probe server's one wire format: fixed-width records and numpy bulk
+encode/decode for batches — no per-probe text anywhere on the hot path.
 
-Framing is shared with the JSON protocol: every frame is a payload
-prefixed by its byte length as a big-endian uint32 (same 64 MiB cap).
-The payload's **first byte** discriminates the protocol per frame —
-``0x7B`` (``{``) opens a JSON object, :data:`BINARY_VERSION` (``0xB1``,
-never a valid leading UTF-8 byte) opens a binary frame::
+Every frame is a payload prefixed by its byte length as a big-endian
+uint32 (64 MiB cap).  The payload's **first byte** is
+:data:`BINARY_VERSION` (``0xB1``); the server refuses a frame that opens
+with any other byte::
 
-    4 bytes   length prefix (big-endian uint32, shared with JSON)
+    4 bytes   length prefix (big-endian uint32)
     1 byte    version  = 0xB1
     1 byte    opcode   (OP_PING .. OP_STATS)
     2 bytes   flags    (big-endian; bit 0 = error on responses)
@@ -21,7 +17,10 @@ never a valid leading UTF-8 byte) opens a binary frame::
 
 The sequence id is what makes pipelining work: a client may have many
 frames in flight on one connection and matches each response to its
-request by ``seq``, regardless of arrival order.
+request by ``seq``, regardless of arrival order.  Sequence id 0 is
+reserved: no request carries it, and an error frame on it refuses the
+whole connection (capacity, oversized or unknown frame) just before the
+server closes it.
 
 Bodies (requests → responses):
 
@@ -45,8 +44,8 @@ encode and decode as one ``ndarray.tobytes`` / ``np.frombuffer`` each.
 Error responses set :data:`FLAG_ERROR` and carry a UTF-8 message.
 
 ``info`` and ``stats`` responses carry JSON *inside* a binary frame:
-they are cold metadata operations, and keeping their schemas in JSON
-means the two protocols can never disagree about them.
+they are cold metadata operations whose schemas change more often than
+any fixed-width layout should.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ __all__ = [
     "pack_frame",
 ]
 
-#: Outer length prefix, shared with the JSON protocol.
+#: Outer length prefix.
 LENGTH = struct.Struct(">I")
 
 #: Payload header: version, opcode, flags, sequence id.
@@ -149,7 +148,7 @@ class FrameError(ProtocolError):
 
 
 def pack_frame(payload: bytes) -> bytes:
-    """Prefix one payload with the shared big-endian u32 length header."""
+    """Prefix one payload with the big-endian u32 length header."""
     if len(payload) > MAX_MESSAGE_BYTES:
         raise FrameError(
             f"frame of {len(payload)} bytes exceeds limit ({MAX_MESSAGE_BYTES})"

@@ -32,15 +32,15 @@ __all__ = [
     "header_layout",
 ]
 
-#: The per-frame protocol version byte (never a valid UTF-8 leading
-#: byte, so one listener can dispatch binary vs JSON per frame).
+#: The per-frame protocol version byte; a frame opening with any
+#: other byte is refused.
 PROTOCOL_VERSION = 0xB1
 
 #: Every ``struct.Struct`` format string in ``frames.py``, by the name
 #: it is bound to there.  Big-endian outer framing and header (network
 #: order); little-endian bodies (the numpy arrays' native layout).
 FRAME_STRUCTS = {
-    "LENGTH": ">I",     # outer length prefix, shared with JSON
+    "LENGTH": ">I",     # outer length prefix
     "HEADER": ">BBHI",  # version, opcode, flags, sequence id
     "_U16": "<H",       # database-id length, directory count
     "_U32": "<I",       # record / value counts

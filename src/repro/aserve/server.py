@@ -1,14 +1,11 @@
-"""The probe server: binary and JSON frames on one port.
+"""The probe server: binary frames over TCP.
 
 One :class:`AsyncProbeServer` wraps one
-:class:`~repro.serve.service.ProbeService` and answers both frame kinds
-on the same listener.  Dispatch is per frame, on the payload's first
-byte: :data:`~repro.aserve.frames.BINARY_VERSION` (``0xB1``) selects the
-binary frames of :mod:`repro.aserve.frames`; ``{`` (or leading JSON
-whitespace) selects the JSON frames of :mod:`repro.serve.protocol`,
-which the cluster's liveness ping and outside clients speak.  Any other
-first byte is answered with a well-formed ``ok: false`` JSON rejection
-and the connection is closed — never a hang.
+:class:`~repro.serve.service.ProbeService` and answers the binary frames
+of :mod:`repro.aserve.frames`.  A payload whose first byte is not
+:data:`~repro.aserve.frames.BINARY_VERSION` (``0xB1``) — an empty frame,
+a JSON opener, any other byte — is refused with one error frame on the
+reserved sequence id 0 and the connection is closed — never a hang.
 
 Every connection is a coroutine on one event loop: ten thousand idle
 connections cost ten thousand small objects, not ten thousand stacks.
@@ -27,20 +24,14 @@ closes every connection, and joins the loop.
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import threading
 
 from ..obs import NULL_METRICS
-from ..serve.ops import JsonRequestHandler, _overloaded
 from ..serve.protocol import MAX_MESSAGE_BYTES
 from . import frames
 
 __all__ = ["AsyncProbeServer"]
-
-#: First bytes that open a JSON frame (an object, an array — rejected
-#: as "not a JSON object" — or leading whitespace).
-_JSON_OPENERS = frozenset(b"{[ \t\r\n")
 
 #: Seconds granted to in-flight connection handlers at shutdown.
 _DRAIN_SECONDS = 5.0
@@ -49,16 +40,14 @@ _DRAIN_SECONDS = 5.0
 class AsyncProbeServer:
     """Serve one :class:`ProbeService` over TCP on an asyncio event loop.
 
-    Speaks binary frames natively and JSON frames via per-frame
-    version-byte fallback.  Connections are isolated: a malformed frame
-    or a raising handler produces an error response (or a counted
-    disconnect) for that client only.  ``max_connections`` caps concurrently served connections —
-    beyond it, a connection is answered with an ``ok: false`` capacity
-    rejection and closed.  ``max_inflight`` caps concurrently executing
-    requests across all connections — past it a request is shed with a
-    well-formed overload answer (JSON ``reason: "overloaded"``, binary
-    error frame carrying :data:`~repro.aserve.frames.FLAG_OVERLOADED`)
-    and the connection survives.  ``faults`` optionally carries a
+    Connections are isolated: a malformed frame or a raising handler
+    produces an error response (or a counted disconnect) for that client
+    only.  ``max_connections`` caps concurrently served connections —
+    beyond it, a connection is refused on sequence id 0 and closed.
+    ``max_inflight`` caps concurrently executing requests across all
+    connections — past it a request is shed with an error frame carrying
+    :data:`~repro.aserve.frames.FLAG_OVERLOADED` and the connection
+    survives.  ``faults`` optionally carries a
     :class:`~repro.resilience.FaultPlan`; the drop-conn, latency,
     blackhole and crash-shard injectors all apply (latency is awaited,
     so injected delays overlap across connections instead of blocking
@@ -72,7 +61,6 @@ class AsyncProbeServer:
                  max_inflight: int | None = None):
         self.service = service
         self._metrics = NULL_METRICS if metrics is None else metrics
-        self._handler = JsonRequestHandler(service, self._metrics)
         self._max_message_bytes = int(max_message_bytes)
         self._max_connections = (
             None if max_connections is None else int(max_connections)
@@ -203,11 +191,8 @@ class AsyncProbeServer:
                 and len(self._writers) >= self._max_connections):
             self._metrics.inc("connections_rejected")
             try:
-                await self._send_json(writer, {
-                    "ok": False,
-                    "error": "server at capacity "
-                             f"({self._max_connections} connections)",
-                })
+                await self._refuse(writer, "server at capacity "
+                                   f"({self._max_connections} connections)")
             except (ConnectionError, OSError):
                 self._metrics.inc("client_disconnects")
             writer.close()
@@ -245,11 +230,8 @@ class AsyncProbeServer:
             if length > self._max_message_bytes:
                 # Rejected from the prefix alone — no payload buffered.
                 self._metrics.inc("errors")
-                await self._send_json(writer, {
-                    "ok": False,
-                    "error": f"frame of {length} bytes exceeds limit "
-                             f"({self._max_message_bytes})",
-                })
+                await self._refuse(writer, f"frame of {length} bytes exceeds "
+                                   f"limit ({self._max_message_bytes})")
                 return
             try:
                 payload = await reader.readexactly(length)
@@ -272,7 +254,14 @@ class AsyncProbeServer:
 
     async def _answer(self, payload: bytes, writer) -> bool:
         """Answer one frame; returns whether the connection survives."""
-        first = payload[:1]
+        if payload[:1] != frames.VERSION_BYTE:
+            # No binary header, so no sequence id to answer on and no
+            # reason to trust the rest of the stream.
+            self._metrics.inc("errors")
+            await self._refuse(writer, "empty frame" if not payload else
+                               f"unknown protocol version byte "
+                               f"0x{payload[0]:02x}")
+            return False
         if self._blackhole is not None and self._blackhole.swallow():
             # Injected fault: read the frame, never answer — the
             # silence only a client timeout escapes.
@@ -281,7 +270,7 @@ class AsyncProbeServer:
         if self._max_inflight is not None \
                 and self._inflight >= self._max_inflight:
             self._metrics.inc("overloads")
-            await self._shed(payload, first, writer)
+            await self._shed(payload, writer)
             return True
         self._inflight += 1
         try:
@@ -290,59 +279,31 @@ class AsyncProbeServer:
                 if delay:
                     self._metrics.inc("faults.latency_injected")
                     await asyncio.sleep(delay)
-            if first == frames.VERSION_BYTE:
-                self._metrics.inc("frames_binary")
-                keep = await self._answer_binary(payload, writer)
-            elif first and first[0] in _JSON_OPENERS:
-                self._metrics.inc("frames_json")
-                keep = await self._answer_json(payload, writer)
-            else:
-                self._metrics.inc("errors")
-                message = (
-                    "empty frame" if not payload else
-                    f"unknown protocol version byte 0x{payload[0]:02x}"
-                )
-                await self._send_json(writer, {"ok": False, "error": message})
-                keep = False
+            self._metrics.inc("frames_binary")
+            await self._answer_binary(payload, writer)
         finally:
             self._inflight -= 1
         if self._crash is not None:
             self._crash.answered()
-        return keep
-
-    async def _shed(self, payload: bytes, first: bytes, writer) -> None:
-        """Answer one shed request in the protocol it was asked in;
-        the connection stays usable for later, admitted requests."""
-        if first == frames.VERSION_BYTE:
-            writer.write(frames.pack_frame(frames.encode_error(
-                frames.peek_seq(payload), frames.peek_opcode(payload),
-                f"server overloaded ({self._max_inflight} requests "
-                "in flight)",
-                flags=frames.FLAG_OVERLOADED,
-            )))
-            await writer.drain()
-            return
-        await self._send_json(writer, _overloaded(self._max_inflight))
-
-    async def _answer_json(self, payload: bytes, writer) -> bool:
-        try:
-            request = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._metrics.inc("errors")
-            await self._send_json(
-                writer, {"ok": False, "error": f"bad JSON frame: {exc}"}
-            )
-            return False
-        if not isinstance(request, dict):
-            self._metrics.inc("errors")
-            await self._send_json(
-                writer, {"ok": False, "error": "frame is not a JSON object"}
-            )
-            return False
-        await self._send_json(writer, self._handler.handle(request))
         return True
 
-    async def _answer_binary(self, payload: bytes, writer) -> bool:
+    async def _refuse(self, writer, message: str) -> None:
+        """Refuse the whole connection: one error frame on the reserved
+        sequence id 0, which no request carries.  The caller closes."""
+        writer.write(frames.pack_frame(frames.encode_error(0, 0, message)))
+        await writer.drain()
+
+    async def _shed(self, payload: bytes, writer) -> None:
+        """Answer one shed request with an overload error frame; the
+        connection stays usable for later, admitted requests."""
+        writer.write(frames.pack_frame(frames.encode_error(
+            frames.peek_seq(payload), frames.peek_opcode(payload),
+            f"server overloaded ({self._max_inflight} requests in flight)",
+            flags=frames.FLAG_OVERLOADED,
+        )))
+        await writer.drain()
+
+    async def _answer_binary(self, payload: bytes, writer) -> None:
         try:
             request = frames.decode_request(payload)
         except frames.FrameError as exc:
@@ -355,7 +316,7 @@ class AsyncProbeServer:
                 str(exc),
             )))
             await writer.drain()
-            return True
+            return
         self._metrics.inc("requests")
         self._metrics.inc(f"op.{frames.OP_NAMES[request.opcode]}")
         try:
@@ -367,13 +328,6 @@ class AsyncProbeServer:
                 request.seq, request.opcode, f"{type(exc).__name__}: {exc}"
             )
         writer.write(frames.pack_frame(response))
-        await writer.drain()
-        return True
-
-    async def _send_json(self, writer, obj: dict) -> None:
-        writer.write(frames.pack_frame(
-            json.dumps(obj, separators=(",", ":")).encode()
-        ))
         await writer.drain()
 
     # ------------------------------------------------------------- dispatch

@@ -180,14 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
-        help="reject connections beyond N with a well-formed "
-             "ok:false frame (default: unlimited)",
+        help="refuse connections beyond N with an error frame on "
+             "sequence id 0 (default: unlimited)",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
-        help="shed requests beyond N concurrently executing with a "
-             "well-formed reason=overloaded answer (default: unlimited; "
-             "docs/CLUSTER.md)",
+        help="shed requests beyond N concurrently executing with an "
+             "OVERLOADED error frame (default: unlimited; docs/CLUSTER.md)",
     )
 
     probe = sub.add_parser("probe", help="query a running probe server")

@@ -82,8 +82,8 @@ def add_arguments(parser) -> None:
     up.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="per-server overload budget: past N concurrently executing "
-             "requests a server sheds load with ok:false "
-             "reason=overloaded instead of queueing",
+             "requests a server sheds load with an OVERLOADED error "
+             "frame instead of queueing",
     )
     up.add_argument(
         "--inject-fault", action="append", default=None, metavar="SPEC",

@@ -32,9 +32,8 @@ closed, then open as a last resort — all in topology order (primary
 before replicas) within each class, so a healthy cluster routes
 exactly as before this module existed.
 
-:func:`probe_endpoint` is the supervisor's liveness check: one
-length-prefixed JSON ``ping`` round trip, which the probe server
-answers through its version-byte JSON fallback.
+:func:`probe_endpoint` is the supervisor's liveness check: one binary
+``ping`` frame round trip over a blocking socket.
 
 Clocks are injectable everywhere (``clock`` returns monotonic seconds)
 so breaker tests advance time without sleeping.
@@ -46,8 +45,8 @@ import socket
 import threading
 import time
 
+from ..aserve import frames
 from ..obs import NULL_METRICS, names
-from ..serve.protocol import ProtocolError, recv_message, send_message
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -61,6 +60,11 @@ __all__ = [
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
+
+#: The liveness ping's sequence id, and the only reply that counts as
+#: alive: a pong frame echoing it, byte for byte.
+_PING_SEQ = 1
+_PONG = frames.pack_frame(frames.encode_pong(_PING_SEQ))
 
 #: Consecutive surfaced transport failures that trip a breaker open.
 DEFAULT_THRESHOLD = 1
@@ -189,18 +193,20 @@ class EndpointHealth:
 
 
 def probe_endpoint(host: str, port: int, timeout: float = 1.0) -> bool:
-    """One JSON ``ping`` round trip against a probe server.
+    """One binary ``ping`` frame round trip against a probe server.
 
-    True only for a well-formed pong.  The server answers it through its
-    version-byte JSON fallback, so the supervisor's liveness check needs
-    no event loop and no binary client.
+    True only for a pong that echoes the ping's sequence id; a refusal
+    (an error frame on sequence id 0, e.g. at ``max_connections``), a
+    close or a timeout reads not-alive.  A blocking socket is enough, so
+    the supervisor's liveness check needs no event loop and no client.
     """
     try:
         with socket.create_connection((host, port),
                                       timeout=timeout) as sock:
             sock.settimeout(timeout)
-            send_message(sock, {"op": "ping"})
-            response = recv_message(sock)
-    except (OSError, ProtocolError, ValueError):
+            sock.sendall(frames.pack_frame(frames.encode_ping(_PING_SEQ)))
+            with sock.makefile("rb") as stream:
+                reply = stream.read(len(_PONG))
+    except OSError:
         return False
-    return bool(response and response.get("ok") and response.get("pong"))
+    return reply == _PONG

@@ -33,7 +33,7 @@ every probe operation is an idempotent pure lookup.  A tripped breaker
 demotes its endpoint to the back of the candidate order rather than
 banishing it, and after the reset window the next call probes it back:
 a killed-then-restarted primary is *reinstated*, not remembered as dead
-forever.  Application rejections (``ok: false``) are re-raised without
+forever.  Application rejections (error frames) are re-raised without
 failover: a replica holds the same data and would reject identically.
 An overload shed (:class:`~repro.serve.client.ProbeOverloadedError`) is
 in between — the router fails over immediately but records *no*

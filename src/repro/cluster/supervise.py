@@ -4,12 +4,11 @@ A :class:`ClusterMonitor` runs one background thread over a
 :class:`~repro.cluster.launch.ClusterSupervisor`: every
 ``health_interval`` seconds it polls each child process and, for
 children that look alive, performs a lightweight TCP liveness probe
-(:func:`repro.cluster.health.probe_endpoint` — one JSON ``ping`` round
-trip, answered by both wire protocols).  A dead or unresponsive
-endpoint is respawned from its recorded
-:class:`~repro.cluster.launch.SpawnSpec` **on its original port**, so
-the routers already holding the topology reconnect to the replacement
-without any rendezvous; the breaker machinery in
+(:func:`repro.cluster.health.probe_endpoint` — one binary ``ping``
+frame round trip).  A dead or unresponsive endpoint is respawned from
+its recorded :class:`~repro.cluster.launch.SpawnSpec` **on its original
+port**, so the routers already holding the topology reconnect to the
+replacement without any rendezvous; the breaker machinery in
 :mod:`repro.cluster.router` then reinstates the endpoint on its next
 successful request.
 

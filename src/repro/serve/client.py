@@ -15,8 +15,8 @@ __all__ = ["ProbeError", "ProbeTransportError", "ProbeOverloadedError"]
 
 
 class ProbeError(RuntimeError):
-    """A probe failed: the server rejected the request (``ok: false``
-    or an error frame) or the connection could not be (re-)established
+    """A probe failed: the server rejected the request (an error
+    frame) or the connection could not be (re-)established
     within the policy's bounds.  Every raw socket error surfaces as this
     type."""
 
@@ -32,8 +32,8 @@ class ProbeTransportError(ProbeError):
 
 
 class ProbeOverloadedError(ProbeError):
-    """The server shed this request under load (the binary OVERLOADED
-    flag / ``reason: overloaded`` on a JSON frame).  Deliberately *not*
+    """The server shed this request under load (an error frame with
+    the OVERLOADED flag).  Deliberately *not*
     a :class:`ProbeTransportError`: the endpoint is alive and the
     connection survives, so the router tries the next replica
     immediately without recording a circuit-breaker failure — shedding

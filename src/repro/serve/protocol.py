@@ -1,25 +1,14 @@
-"""Length-prefixed JSON frames: the JSON frame kind of the probe server.
+"""Wire constants and errors shared by the probe frames.
 
-Every message — request or response — is one JSON object encoded as
-UTF-8, prefixed by its byte length as a big-endian uint32.  The probe
-server (:class:`~repro.aserve.server.AsyncProbeServer`) answers these
-frames on the same port as its binary frames, telling them apart by
-the first payload byte; JSON keeps the wire inspectable for outside
-clients and for the cluster's liveness ping.
+:data:`MAX_MESSAGE_BYTES`, :data:`BINARY_VERSION` and the
+:class:`ProtocolError` family live here rather than in
+:mod:`repro.aserve.frames` so that :mod:`repro.serve` never imports
+:mod:`repro.aserve`.
 
-Requests carry an ``op`` field; responses carry ``ok`` (and ``error``
-when ``ok`` is false).  The operations, documented in docs/SERVING.md:
-
-========== =============================================== =============
-op          request fields                                  response
-========== =============================================== =============
-ping        —                                               ``pong: true``
-info        —                                               game, rules, ids, positions, backend
-probe       ``db``, ``index``                               ``value``
-probe_many  ``positions`` = ``[[db, index], ...]``          ``values``
-best_move   ``board`` = 12 pit counts                       ``value``, ``pits``, ``moves``
-stats       —                                               cache/server counters
-========== =============================================== =============
+:func:`send_message` / :func:`recv_message` frame one JSON object with
+the same big-endian u32 length prefix.  No server or client path uses
+them: the probe server answers binary frames only.  They remain for the
+benchmark's JSON encode/decode layer probe.
 """
 
 from __future__ import annotations
@@ -40,16 +29,15 @@ __all__ = [
 #: Upper bound on one message; a 64 MiB batch is ~4M probes.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
-#: First payload byte of a binary-protocol frame (:mod:`repro.aserve`).
-#: 0xB1 can never open a JSON text frame (it is not valid UTF-8 as a
-#: leading byte), so one byte discriminates the two protocols per frame.
+#: First payload byte of a binary-protocol frame (:mod:`repro.aserve`);
+#: the server refuses any frame that opens with another byte.
 BINARY_VERSION = 0xB1
 
 _LEN = struct.Struct(">I")
 
 
 class ProtocolError(RuntimeError):
-    """Malformed frame: oversized, truncated, or not JSON."""
+    """Malformed frame: oversized, truncated, or undecodable."""
 
 
 class OversizedFrameError(ProtocolError):

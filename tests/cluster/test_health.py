@@ -2,9 +2,9 @@
 
 The breaker tests drive state transitions with an injected fake clock —
 no sleeping — and pin the transition counters the chaos soak and the
-CLI read.  The liveness tests run against a live probe server, which
-must pong to a ping in either frame kind: the JSON one
-:func:`probe_endpoint` sends, and the binary one its clients send.
+CLI read.  The liveness tests run :func:`probe_endpoint`'s binary ping
+against a live probe server: alive while it serves, not alive once it
+is shut down or refusing connections at its cap.
 """
 
 import pytest
@@ -20,8 +20,6 @@ from repro.cluster.health import (
     probe_endpoint,
 )
 from repro.obs import MetricsRegistry
-from repro.resilience import ReconnectPolicy
-from repro.serve.client import ProbeError
 from repro.serve.service import ProbeService
 
 from tests.workloads import solved_set
@@ -157,32 +155,27 @@ def live_service():
     service.close()
 
 
-def binary_ping(host: str, port: int, timeout: float) -> bool:
-    """A binary-frame ping, False when nothing answers."""
-    try:
-        with BinaryProbeClient(host, port, timeout=timeout,
-                               policy=ReconnectPolicy(connect_attempts=1)
-                               ) as client:
-            return client.ping()
-    except ProbeError:
-        return False
-
-
-PINGS = {"json": probe_endpoint, "binary": binary_ping}
-
-
 class TestProbeEndpoint:
-    @pytest.mark.parametrize("frame_kind", sorted(PINGS))
-    def test_live_server_pongs_on_both_protocols(self, live_service,
-                                                 frame_kind):
-        ping = PINGS[frame_kind]
+    def test_live_server_pongs(self, live_service):
         server = AsyncProbeServer(live_service).start()
         try:
-            assert ping(server.host, server.port, timeout=5.0)
+            assert probe_endpoint(server.host, server.port, timeout=5.0)
         finally:
             server.shutdown()
         # The very same address refuses after shutdown: no false pong.
-        assert not ping(server.host, server.port, timeout=0.5)
+        assert not probe_endpoint(server.host, server.port, timeout=0.5)
+
+    def test_server_at_max_connections_is_not_alive(self, live_service):
+        """A server refusing connections at its cap answers the ping
+        with a seq-0 refusal, not a pong."""
+        server = AsyncProbeServer(live_service, max_connections=1).start()
+        try:
+            with BinaryProbeClient(server.host, server.port) as held:
+                assert held.ping()
+                assert not probe_endpoint(server.host, server.port,
+                                          timeout=5.0)
+        finally:
+            server.shutdown()
 
     def test_unused_port_is_not_alive(self):
         assert not probe_endpoint("127.0.0.1", 1, timeout=0.2)

@@ -294,7 +294,7 @@ class TestFailoverRouting:
                 router.probe(5, 0)
 
     def test_application_rejection_does_not_fail_over(self, kind):
-        """ok:false (plain ProbeError) must re-raise unrotated — a
+        """A rejection (plain ProbeError) must re-raise unrotated — a
         replica would reject identically, so rotating only hides the
         real error and doubles the load."""
 

@@ -18,11 +18,11 @@ from repro.db.store import DatabaseSet
 from repro.games.awari_db import AwariCaptureGame
 from repro.obs import MetricsRegistry
 from repro.resilience import ReconnectPolicy
+from repro.aserve import frames
 from repro.aserve.client import BinaryProbeClient
 from repro.aserve.server import AsyncProbeServer
 from repro.resilience.faults import FaultPlan
-from repro.serve.client import ProbeError
-from repro.serve.protocol import OversizedFrameError, recv_message, send_message
+from repro.serve.client import ProbeError, ProbeTransportError
 from repro.serve.service import ProbeService
 
 #: Tight backoff so reconnect storms resolve in milliseconds.
@@ -149,29 +149,31 @@ class TestClientHardening:
 
 
 class TestServerHardening:
-    def test_oversized_frame_gets_ok_false_not_a_dead_server(self, dbs):
-        """A frame above the server's limit draws a structured error
-        and the server keeps serving other clients."""
+    def test_oversized_frame_refused_server_survives(self, dbs):
+        """A frame above the server's limit draws a seq-0 refusal and a
+        close — a client sees a transport error carrying the server's
+        message — and the server keeps serving other clients."""
         service = ProbeService.from_database_set(dbs)
         server = AsyncProbeServer(service, max_message_bytes=256).start()
         try:
-            sock = socket.create_connection((server.host, server.port),
-                                            timeout=5)
-            try:
-                big = {"op": "ping", "pad": "x" * 1024}
-                with pytest.raises(OversizedFrameError):
-                    send_message(sock, big, max_bytes=256)
-                # The client-side guard refused to send; push the frame
-                # manually to exercise the server-side rejection.
-                import json
-
-                payload = json.dumps(big).encode()
-                sock.sendall(struct.pack(">I", len(payload)) + payload)
-                response = recv_message(sock)
-                assert response is not None and response["ok"] is False
-                assert "exceeds" in response["error"]
-            finally:
-                sock.close()
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5) as sock:
+                payload = frames.encode_ping(1) + b"x" * 1024
+                sock.sendall(frames.pack_frame(payload))
+                with sock.makefile("rb") as stream:
+                    (length,) = frames.LENGTH.unpack(stream.read(4))
+                    response = frames.decode_response(stream.read(length))
+                    assert stream.read() == b""
+            assert response.seq == 0
+            assert response.error == (
+                f"frame of {len(payload)} bytes exceeds limit (256)"
+            )
+            with BinaryProbeClient(server.host, server.port,
+                                   reconnect=False) as c, \
+                    pytest.raises(ProbeTransportError,
+                                  match="rejected the connection: frame of "
+                                        r"\d+ bytes exceeds limit \(256\)"):
+                c.probe_many([(5, i) for i in range(100)])
             # And the listener is still healthy for the next client.
             with BinaryProbeClient(server.host, server.port,
                                    policy=FAST) as c:

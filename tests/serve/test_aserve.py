@@ -1,14 +1,12 @@
 """Differential identity suite for the binary serving stack.
 
 The whole correctness claim of :mod:`repro.aserve` is *identity*: the
-binary TCP transport (plain and pipelined), the JSON fallback on the
-same port, and the zero-copy mmap local path must all be bit-identical
+binary TCP transport (plain and pipelined) and the zero-copy mmap local
+path must both be bit-identical
 to the in-memory ``DatabaseSet`` oracle they serve — values, depth
 contract, metadata, and best moves — for every position of every game
 in the fixture grid (awari, kalah, synthetic).
 """
-
-import socket
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.aserve.server import AsyncProbeServer
 from repro.db.query import best_moves
 from repro.serve.client import ProbeError
 from repro.serve.pagedstore import write_paged
-from repro.serve.protocol import recv_message, send_message
 from repro.serve.service import ProbeService
 
 from .conftest import BLOCK_POSITIONS, SMALL_BUDGET
@@ -60,14 +57,6 @@ def all_positions(dbs, seed=29):
 
 def oracle_values(dbs, pairs) -> np.ndarray:
     return np.array([int(dbs[d][i]) for d, i in pairs], dtype=np.int16)
-
-
-def json_round_trip(sock, message: dict) -> dict:
-    """One JSON frame out, one back, on an open raw connection."""
-    send_message(sock, message)
-    response = recv_message(sock)
-    assert response is not None and response["ok"], response
-    return response
 
 
 class TestBinaryIdentity:
@@ -135,49 +124,12 @@ class TestBinaryIdentity:
 
     def test_depth_contract_matches_json(self, binary_server, binary_client):
         """A paged backend serves no depths: depth_of answers None over
-        binary, as the JSON frame kind (which has no depth op) implies."""
+        binary, as the paged backend does in process."""
         name, game, dbs, server = binary_server
         assert binary_client.depth_of(dbs.ids()[0], 0) is None
 
     def test_empty_batch(self, binary_server, binary_client):
         assert binary_client.probe_many([]).shape == (0,)
-
-
-class TestJsonInterop:
-    def test_json_client_on_binary_port(self, binary_server):
-        """JSON frames — ping, info and a ``probe_many`` checked against
-        the oracle — are answered on the binary port via the per-frame
-        version-byte fallback."""
-        name, game, dbs, server = binary_server
-        pairs = all_positions(dbs, seed=37)[:200]
-        with socket.create_connection((server.host, server.port),
-                                      timeout=5) as sock:
-            assert json_round_trip(sock, {"op": "ping"})["pong"] is True
-            info = json_round_trip(sock, {"op": "info"})
-            assert info["game"] == dbs.game_name
-            answer = json_round_trip(
-                sock, {"op": "probe_many",
-                       "positions": [list(p) for p in pairs]}
-            )
-            np.testing.assert_array_equal(
-                np.asarray(answer["values"], dtype=np.int16),
-                oracle_values(dbs, pairs),
-            )
-
-    def test_mixed_clients_interleaved(self, binary_server, binary_client):
-        """A JSON connection and a binary client answered concurrently
-        on the same port see the same values."""
-        name, game, dbs, server = binary_server
-        db_id = dbs.ids()[-1]
-        with socket.create_connection((server.host, server.port),
-                                      timeout=5) as sock:
-            for index in range(min(dbs[db_id].shape[0], 32)):
-                want = int(dbs[db_id][index])
-                assert binary_client.probe(db_id, index) == want
-                answer = json_round_trip(
-                    sock, {"op": "probe", "db": db_id, "index": index}
-                )
-                assert answer["value"] == want
 
 
 class TestMetadataParity:

@@ -1,13 +1,14 @@
-"""Overload shedding on the probe server, for both frame kinds.
+"""Overload shedding on the probe server.
 
 With ``max_inflight=1`` and an injected per-request latency, one slow
 request holds the whole budget; a second concurrent request must be
-shed with a *well-formed* overload answer — ``ok: false`` with
-``reason: "overloaded"`` on the JSON wire, an error frame carrying
-``FLAG_OVERLOADED`` on the binary wire — and the shed connection must
-stay usable.  Shedding is per request, never a hang or a closed socket:
-that contract is what lets the cluster router fail over instantly
-without tripping the endpoint's circuit breaker.
+shed with a *well-formed* overload answer — an error frame carrying
+``FLAG_OVERLOADED`` on the request's own sequence id — and the shed
+connection must stay usable.  Shedding is per request, never a hang or
+a closed socket: that contract is what lets the cluster router fail
+over instantly without tripping the endpoint's circuit breaker.  A
+frame that is not binary at all is still refused and closed while the
+server sheds: the version byte is checked before the budget.
 """
 
 import socket
@@ -16,12 +17,12 @@ import time
 
 import pytest
 
+from repro.aserve import frames
 from repro.aserve.client import BinaryProbeClient
 from repro.aserve.server import AsyncProbeServer
 from repro.obs import MetricsRegistry
 from repro.resilience.faults import FaultPlan
-from repro.serve.client import ProbeError, ProbeOverloadedError
-from repro.serve.protocol import recv_message, send_message
+from repro.serve.client import ProbeOverloadedError
 from repro.serve.service import ProbeService
 
 from tests.workloads import solved_set
@@ -48,28 +49,6 @@ def start_server(registry, state_dir):
     return server, service, dbs
 
 
-class JsonConnection:
-    """One raw connection speaking JSON frames, with the ``probe`` call
-    the tests need; an overload answer raises like a client would."""
-
-    def __init__(self, server):
-        self._sock = socket.create_connection(
-            (server.host, server.port), timeout=30
-        )
-
-    def probe(self, db_id, index):
-        send_message(self._sock, {"op": "probe", "db": db_id, "index": index})
-        response = recv_message(self._sock)
-        if not response["ok"]:
-            if response.get("reason") == "overloaded":
-                raise ProbeOverloadedError(response["error"])
-            raise ProbeError(response["error"])
-        return response["value"]
-
-    def close(self):
-        self._sock.close()
-
-
 def probe_in_background(client, db_id):
     """Fire ``client.probe(db_id, 0)`` on a thread; returns (thread,
     results dict) — the result lands under ``"value"``."""
@@ -83,61 +62,6 @@ def probe_in_background(client, db_id):
     return thread, results
 
 
-class TestJsonOverload:
-    def test_second_request_is_shed_then_the_server_recovers(self, tmp_path):
-        registry = MetricsRegistry()
-        server, service, dbs = start_server(registry, tmp_path)
-        slow = JsonConnection(server)
-        fast = JsonConnection(server)
-        try:
-            db_id = dbs.ids()[0]
-            expected = int(dbs[db_id][0])
-            thread, results = probe_in_background(slow, db_id)
-            time.sleep(SETTLE_SECONDS)
-            with pytest.raises(ProbeOverloadedError, match="overloaded"):
-                fast.probe(db_id, 0)
-            thread.join(timeout=30)
-            assert results["value"] == expected
-            assert registry.counters["aserve.server.overloads"] >= 1
-            # The shed client was never disconnected: once the slot is
-            # free the very same connection serves correct answers.
-            assert fast.probe(db_id, 0) == expected
-        finally:
-            slow.close()
-            fast.close()
-            server.shutdown()
-            service.close()
-
-    def test_shed_answer_is_well_formed_on_the_wire(self, tmp_path):
-        """Raw-socket check: the overload answer is a parseable JSON
-        frame with a machine-readable reason, not a dropped or
-        half-written connection."""
-        registry = MetricsRegistry()
-        server, service, dbs = start_server(registry, tmp_path)
-        slow = JsonConnection(server)
-        try:
-            db_id = dbs.ids()[0]
-            thread, results = probe_in_background(slow, db_id)
-            time.sleep(SETTLE_SECONDS)
-            with socket.create_connection(
-                (server.host, server.port), timeout=5
-            ) as raw:
-                send_message(
-                    raw, {"op": "probe", "db": db_id, "index": 0}
-                )
-                response = recv_message(raw)
-            assert response is not None
-            assert response["ok"] is False
-            assert response["reason"] == "overloaded"
-            assert "overloaded" in response["error"]
-            thread.join(timeout=30)
-            assert results["value"] == int(dbs[db_id][0])
-        finally:
-            slow.close()
-            server.shutdown()
-            service.close()
-
-
 class TestBinaryOverload:
     def test_second_request_is_shed_then_the_server_recovers(self, tmp_path):
         registry = MetricsRegistry()
@@ -149,8 +73,8 @@ class TestBinaryOverload:
             expected = int(dbs[db_id][0])
             thread, results = probe_in_background(slow, db_id)
             time.sleep(SETTLE_SECONDS)
-            # The FLAG_OVERLOADED error frame surfaces as the same
-            # exception type as the JSON reason does.
+            # The FLAG_OVERLOADED error frame surfaces as its own
+            # exception type, not as a transport failure.
             with pytest.raises(ProbeOverloadedError, match="overloaded"):
                 fast.probe(db_id, 0)
             thread.join(timeout=30)
@@ -162,5 +86,38 @@ class TestBinaryOverload:
         finally:
             slow.close()
             fast.close()
+            server.shutdown()
+            service.close()
+
+    def test_garbage_frame_is_refused_not_shed(self, tmp_path):
+        """Raw-socket check while the budget is held: a frame whose
+        first byte is not 0xB1 draws the seq-0 refusal — an error frame
+        without FLAG_OVERLOADED — and then EOF, exactly as it would on an
+        idle server."""
+        registry = MetricsRegistry()
+        server, service, dbs = start_server(registry, tmp_path)
+        slow = BinaryProbeClient(server.host, server.port)
+        try:
+            db_id = dbs.ids()[0]
+            thread, results = probe_in_background(slow, db_id)
+            time.sleep(SETTLE_SECONDS)
+            with socket.create_connection(
+                (server.host, server.port), timeout=5
+            ) as raw:
+                raw.sendall(frames.pack_frame(b"\x00junk"))
+                with raw.makefile("rb") as stream:
+                    (length,) = frames.LENGTH.unpack(
+                        stream.read(frames.LENGTH.size)
+                    )
+                    response = frames.decode_response(stream.read(length))
+                    assert stream.read() == b""
+            assert response.seq == 0
+            assert response.error == "unknown protocol version byte 0x00"
+            assert not response.overloaded
+            thread.join(timeout=30)
+            assert results["value"] == int(dbs[db_id][0])
+            assert registry.counters.get("aserve.server.overloads", 0) == 0
+        finally:
+            slow.close()
             server.shutdown()
             service.close()

@@ -1,12 +1,13 @@
 """Protocol robustness: hostile and broken frames against a live server.
 
 Every case here attacks a running :class:`AsyncProbeServer` with raw
-sockets — malformed JSON, hostile binary frames, truncated length
-prefixes, frames over the server's ``max_message_bytes``, mid-frame
-disconnects — and asserts the contract of ``_serve_connection``: the
-client gets an error response or a counted disconnect, a broken stream
-is torn down, and the server keeps answering *other* clients.  Never a
-hung connection, never an exception escaping the event loop.
+sockets — frames that are not binary, hostile binary frames, truncated
+length prefixes, frames over the server's ``max_message_bytes``,
+mid-frame disconnects — and asserts the contract of
+``_serve_connection``: the client gets an error response or a counted
+disconnect, a broken stream is refused on sequence id 0 and torn down,
+and the server keeps answering *other* clients.  Never a hung
+connection, never an exception escaping the event loop.
 """
 
 import socket
@@ -22,8 +23,7 @@ from repro.aserve.client import BinaryProbeClient
 from repro.aserve.server import AsyncProbeServer
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultPlan, ReconnectPolicy
-from repro.serve.client import ProbeError
-from repro.serve.protocol import recv_message, send_message
+from repro.serve.client import ProbeError, ProbeTransportError
 from repro.serve.service import ProbeService
 
 #: Socket timeout for the attacking side: long enough for a loopback
@@ -91,53 +91,44 @@ def wait_for_count(registry, names, minimum=1, timeout=ATTACK_TIMEOUT):
     )
 
 
+def recv_frame(sock) -> bytes:
+    """One length-prefixed payload off a raw socket (b'' on EOF)."""
+    head = b""
+    while len(head) < 4:
+        chunk = sock.recv(4 - len(head))
+        if not chunk:
+            return b""
+        head += chunk
+    (length,) = struct.unpack(">I", head)
+    payload = b""
+    while len(payload) < length:
+        chunk = sock.recv(length - len(payload))
+        if not chunk:
+            return b""
+        payload += chunk
+    return payload
+
+
+def assert_refused(sock) -> str:
+    """The connection-scoped refusal: one error frame on sequence id 0,
+    then EOF.  Returns the server's message."""
+    response = frames.decode_response(recv_frame(sock))
+    assert response.seq == 0 and response.error is not None
+    assert not response.overloaded
+    assert recv_frame(sock) == b""
+    return response.error
+
+
 class TestMalformedFrames:
-    def test_bad_json_gets_ok_false_then_close(self, hardened):
-        server, registry, dbs = hardened
-        with raw_connection(server) as sock:
-            payload = b"{\xff\xfenot json"
-            sock.sendall(len(payload).to_bytes(4, "big") + payload)
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "bad JSON" in response["error"]
-            # After a bad frame the stream cannot be re-synchronized:
-            # the server must close, not hang.
-            assert recv_message(sock) is None
-        wait_for_count(registry, ["aserve.server.errors"])
-        assert server_still_answers(server, dbs)
-
-    def test_non_object_json_rejected(self, hardened):
-        server, registry, dbs = hardened
-        with raw_connection(server) as sock:
-            payload = b"[1, 2, 3]"
-            sock.sendall(len(payload).to_bytes(4, "big") + payload)
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "JSON object" in response["error"]
-        assert server_still_answers(server, dbs)
-
     def test_oversized_frame_rejected_from_prefix(self, hardened):
         """A declared length over the server's cap is rejected from the
         4-byte prefix alone — no payload needs to be sent at all."""
         server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall((4097).to_bytes(4, "big"))
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "exceeds limit" in response["error"]
+            assert "exceeds limit" in assert_refused(sock)
         wait_for_count(registry, ["aserve.server.errors"])
         assert server_still_answers(server, dbs)
-
-    def test_valid_json_unknown_op_keeps_connection(self, hardened):
-        """A well-framed nonsense request is an application error: the
-        connection survives and keeps serving."""
-        server, registry, dbs = hardened
-        with raw_connection(server) as sock:
-            send_message(sock, {"op": "detonate"})
-            response = recv_message(sock)
-            assert response["ok"] is False and "unknown op" in response["error"]
-            send_message(sock, {"op": "ping"})
-            assert recv_message(sock)["pong"] is True
 
 
 class TestTornConnections:
@@ -167,8 +158,8 @@ class TestTornConnections:
         """An abrupt RST between frames never wedges the server."""
         server, registry, dbs = hardened
         sock = raw_connection(server)
-        send_message(sock, {"op": "ping"})
-        assert recv_message(sock)["pong"] is True
+        sock.sendall(frames.pack_frame(frames.encode_ping(1)))
+        assert frames.decode_response(recv_frame(sock)).seq == 1
         # Force an RST instead of a graceful FIN.
         sock.setsockopt(
             socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
@@ -188,24 +179,6 @@ class TestTornConnections:
         assert server_still_answers(server, dbs)
         wait_for_count(registry, ["aserve.server.client_disconnects"],
                        minimum=8)
-
-
-def recv_frame(sock) -> bytes:
-    """One length-prefixed payload off a raw socket (b'' on EOF)."""
-    head = b""
-    while len(head) < 4:
-        chunk = sock.recv(4 - len(head))
-        if not chunk:
-            return b""
-        head += chunk
-    (length,) = struct.unpack(">I", head)
-    payload = b""
-    while len(payload) < length:
-        chunk = sock.recv(length - len(payload))
-        if not chunk:
-            return b""
-        payload += chunk
-    return payload
 
 
 class TestBinaryFuzz:
@@ -250,10 +223,7 @@ class TestBinaryFuzz:
         server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall((4097).to_bytes(4, "big"))
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "exceeds limit" in response["error"]
-            assert recv_message(sock) is None
+            assert "exceeds limit" in assert_refused(sock)
         wait_for_count(registry, ["aserve.server.errors"])
         assert server_still_answers(server, dbs)
 
@@ -267,54 +237,38 @@ class TestBinaryFuzz:
         assert server_still_answers(server, dbs)
         wait_for_count(registry, ["aserve.server.client_disconnects"])
 
-    def test_unknown_version_byte_rejected(self, hardened):
-        """Garbage that is neither 0xB1 nor JSON gets a well-formed
-        ok:false naming the byte, then close."""
+    @pytest.mark.parametrize("first", [b"{", b"[", b"\n", b"\x00", b"\xff"],
+                             ids=["brace", "bracket", "newline", "nul", "ff"])
+    def test_unknown_version_byte_rejected(self, hardened, first):
+        """Any first byte but 0xB1 — a JSON opener, whitespace, garbage —
+        is refused on seq 0 naming the byte, then the connection closes;
+        other clients are still answered."""
         server, registry, dbs = hardened
         with raw_connection(server) as sock:
-            payload = b"\x00\x01\x02\x03"
-            sock.sendall(len(payload).to_bytes(4, "big") + payload)
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "unknown protocol version byte 0x00" in response["error"]
-            assert recv_message(sock) is None
+            sock.sendall(frames.pack_frame(first + b'"op": "ping"}'))
+            message = assert_refused(sock)
+            assert message == f"unknown protocol version byte 0x{first[0]:02x}"
+        wait_for_count(registry, ["aserve.server.errors"])
         assert server_still_answers(server, dbs)
 
     def test_empty_frame_rejected(self, hardened):
         server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall((0).to_bytes(4, "big"))
-            response = recv_message(sock)
-            assert response["ok"] is False
-            assert "empty frame" in response["error"]
+            assert assert_refused(sock) == "empty frame"
         assert server_still_answers(server, dbs)
 
     def test_interleaved_json_on_binary_connection(self, hardened):
-        """One connection freely mixing binary and JSON frames: dispatch
-        is per frame, so both protocols answer on the same socket."""
+        """The version byte is checked on every frame, not only the
+        first: a JSON frame after answered binary frames is refused on
+        seq 0 and closes the connection."""
         server, registry, dbs = hardened
         with raw_connection(server) as sock:
             sock.sendall(frames.pack_frame(frames.encode_ping(1)))
             assert frames.decode_response(recv_frame(sock)).seq == 1
-            send_message(sock, {"op": "ping"})
-            assert recv_message(sock)["pong"] is True
-            sock.sendall(frames.pack_frame(frames.encode_probe(2, 5, 0)))
-            response = frames.decode_response(recv_frame(sock))
-            assert response.seq == 2
-            assert response.value == int(dbs[5][0])
-        wait_for_count(registry, ["aserve.server.frames_json"])
-        wait_for_count(registry, ["aserve.server.frames_binary"], minimum=2)
-
-    def test_bad_json_on_binary_server_closes(self, hardened):
-        """A malformed JSON frame answers ok:false and closes: after a
-        bad JSON payload the stream cannot be trusted."""
-        server, registry, dbs = hardened
-        with raw_connection(server) as sock:
-            payload = b"{not json"
-            sock.sendall(len(payload).to_bytes(4, "big") + payload)
-            response = recv_message(sock)
-            assert response["ok"] is False and "bad JSON" in response["error"]
-            assert recv_message(sock) is None
+            sock.sendall(frames.pack_frame(b'{"op": "ping"}'))
+            assert assert_refused(sock) == "unknown protocol version byte 0x7b"
+        wait_for_count(registry, ["aserve.server.frames_binary"])
         assert server_still_answers(server, dbs)
 
     def test_torn_burst_then_clean_drain(self, hardened):
@@ -333,8 +287,9 @@ class TestBinaryFuzz:
         assert server_still_answers(server, dbs)
 
     def test_max_connections_cap(self, awari_solved):
-        """Connections beyond the cap get the JSON capacity rejection;
-        closing one frees a slot."""
+        """Connections beyond the cap are refused on seq 0 — a raw
+        socket reads the refusal then EOF, a client raises a transport
+        error naming the capacity — and closing one frees a slot."""
         game, dbs = awari_solved
         registry = MetricsRegistry()
         service = ProbeService.from_database_set(dbs)
@@ -347,10 +302,16 @@ class TestBinaryFuzz:
                     BinaryProbeClient(server.host, server.port) as b:
                 assert a.ping() and b.ping()
                 with raw_connection(server) as sock:
-                    response = recv_message(sock)
-                    assert response["ok"] is False
-                    assert "capacity" in response["error"]
-            wait_for_count(registry, ["aserve.server.connections_rejected"])
+                    assert "capacity" in assert_refused(sock)
+                with BinaryProbeClient(
+                    server.host, server.port,
+                    policy=ReconnectPolicy(request_replays=0),
+                ) as c, pytest.raises(ProbeTransportError,
+                                      match="rejected the connection: "
+                                            "server at capacity"):
+                    c.ping()
+            wait_for_count(registry, ["aserve.server.connections_rejected"],
+                           minimum=2)
             deadline = time.monotonic() + ATTACK_TIMEOUT
             while time.monotonic() < deadline:
                 try:

@@ -2,8 +2,7 @@
 
 The probe server is :class:`~repro.aserve.server.AsyncProbeServer`; the
 client is the pipelined :class:`~repro.aserve.client.BinaryProbeClient`,
-and the JSON frame kind is driven with raw ``send_message`` /
-``recv_message`` round trips.
+and malformed requests go out as raw binary frames.
 """
 
 import socket
@@ -13,12 +12,15 @@ import numpy as np
 import pytest
 
 from repro.aserve import frames
-from repro.aserve.client import BinaryProbeClient
+from repro.aserve.client import (
+    AsyncProbeClient,
+    BinaryProbeClient,
+    EventLoopThread,
+)
 from repro.aserve.server import AsyncProbeServer
 from repro.db.query import best_moves, optimal_line
 from repro.obs import MetricsRegistry
 from repro.serve.client import ProbeError
-from repro.serve.ops import JsonRequestHandler
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -47,12 +49,15 @@ def client(served):
         yield c
 
 
-def ask_json(server, message: dict) -> dict:
-    """One JSON frame round trip on a fresh raw connection."""
+def ask_raw(server, payload: bytes) -> frames.Response:
+    """One raw binary frame round trip on a fresh connection."""
     with socket.create_connection((server.host, server.port),
                                   timeout=5) as sock:
-        send_message(sock, message)
-        return recv_message(sock)
+        sock.sendall(frames.pack_frame(payload))
+        head = sock.recv(4, socket.MSG_WAITALL)
+        return frames.decode_response(
+            sock.recv(int.from_bytes(head, "big"), socket.MSG_WAITALL)
+        )
 
 
 class TestWire:
@@ -104,6 +109,27 @@ class TestWire:
         assert stats["backend"] == "paged"
         assert stats["misses"] >= 0 and "hit_rate" in stats
 
+    def test_sequence_id_wraps_past_zero(self, served):
+        """Sequence id 0 is the server's connection refusal, so a client
+        whose counter sits at 2**32 - 1 sends its next request as 1."""
+        _, dbs, server = served
+        loop = EventLoopThread()
+
+        async def probe_after_wrap():
+            client = await AsyncProbeClient.connect(server.host, server.port)
+            try:
+                client._seq = 0xFFFFFFFF
+                return await client.probe(5, 3), client._seq
+            finally:
+                await client.close()
+
+        try:
+            value, seq = loop.run(probe_after_wrap())
+        finally:
+            loop.close()
+        assert seq == 1
+        assert value == int(dbs[5][3])
+
 
 class TestBatchWireFormat:
     """The batch op casts indices once, as an array; what travels and
@@ -152,45 +178,8 @@ class TestBatchWireFormat:
         # Only the sequence id differs between the three frames.
         assert len({p[8:] for p in payloads}) == 1
 
-    def test_answer_and_error_messages(self, served):
-        _, dbs, server = served
-        handler = JsonRequestHandler(server.service)
-
-        def ask(positions):
-            return handler.handle({"op": "probe_many", "positions": positions})
-
-        answer = ask([[5, 0], [5, "1"], [4, 2.0]])
-        assert answer == {
-            "ok": True,
-            "values": [int(dbs[5][0]), int(dbs[5][1]), int(dbs[4][2])],
-        }
-        assert all(type(v) is int for v in answer["values"])
-        assert ask([]) == {"ok": True, "values": []}
-        n = dbs[5].shape[0]
-        for positions, error in [
-            ([[5]], "ValueError: not enough values to unpack "
-                    "(expected 2, got 1)"),
-            ([[5, "x"]], "ValueError: invalid literal for int() with base "
-                         "10: 'x'"),
-            ([[5, None]], "TypeError: int() argument must be a string, a "
-                          "bytes-like object or a real number, not "
-                          "'NoneType'"),
-            (7, "TypeError: 'int' object is not iterable"),
-            ([[5, n]], f"IndexError: index {n} out of range for db 5 "
-                       f"({n} positions)"),
-        ]:
-            assert ask(positions) == {"ok": False, "error": error}
-        assert ask([[99, 0]])["error"].startswith(
-            "KeyError: 'database 99 not present"
-        )
-
 
 class TestErrors:
-    def test_unknown_op(self, served, client):
-        _, _, server = served
-        answer = ask_json(server, {"op": "explode"})
-        assert answer["ok"] is False and "unknown op" in answer["error"]
-
     def test_missing_database_over_wire(self, served, client):
         with pytest.raises(ProbeError, match="not present"):
             client.probe(99, 0)
@@ -200,9 +189,11 @@ class TestErrors:
             client.probe(5, 10**9)
 
     def test_bad_board_over_wire(self, served, client):
+        """A best_move frame with three pit counts instead of twelve."""
         _, _, server = served
-        answer = ask_json(server, {"op": "best_move", "board": [1, 2, 3]})
-        assert answer["ok"] is False and "12 pit counts" in answer["error"]
+        short = frames.encode_best_move(9, [0] * 12)[:-18]
+        answer = ask_raw(server, short)
+        assert answer.seq == 9 and "12 int16 pit counts" in answer.error
 
     def test_connection_survives_errors(self, served, client):
         """An application error must not poison the connection."""
@@ -317,7 +308,9 @@ class TestConcurrencyAndShutdown:
         with BinaryProbeClient(server.host, server.port) as client:
             client.ping()
             client.probe(5, 0)
-        assert ask_json(server, {"op": "nope"})["ok"] is False
+        assert ask_raw(server, b"{}").error.startswith(
+            "unknown protocol version byte 0x7b"
+        )
         server.shutdown()
         service.close()
         counters = registry.counters
@@ -326,4 +319,3 @@ class TestConcurrencyAndShutdown:
         assert counters["aserve.server.op.probe"] == 1
         assert counters["aserve.server.errors"] == 1
         assert counters["aserve.server.frames_binary"] == 2
-        assert counters["aserve.server.frames_json"] == 1
