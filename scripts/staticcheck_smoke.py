@@ -17,9 +17,10 @@ CLI and checked bit-for-bit against a sequential reference:
 2. reference — single-process ``repro solve``
 3. ``--shm-debug`` solve — bit-identical, and the manifest must report
    ``multiproc.shm_claims_checked``
-4. production solve — the debug counter must NOT appear, and
-   ``multiproc.shm_segments`` must match the debug run (the ledger
-   lives outside the accounting)
+4. production solve — bit-identical, with non-zero
+   ``multiproc.ipc_bytes_saved`` and ``multiproc.shm_segments``; the
+   debug counter must NOT appear, and ``shm_segments`` must match the
+   debug run (the ledger lives outside the accounting)
 5. ``--shm-debug`` with ``kill-worker:chunk=1`` injected — the
    replayed task overwrites its own claim, so the run must stay
    silent (zero overlap reports), bit-identical, with the kill
@@ -193,7 +194,17 @@ def main() -> int:
     cli("solve", "--stones", str(STONES), "--workers", "2",
         "--scan-chunk", "256",
         "--out", str(plain_out), "--metrics-out", str(plain_manifest))
+    if not identical(reference, plain_out):
+        print("FAIL: production solve diverged", file=sys.stderr)
+        return 1
     plain = counters_of(plain_manifest)
+    saved = plain.get("multiproc.ipc_bytes_saved", 0)
+    segments = plain.get("multiproc.shm_segments", 0)
+    print(f"   bit-identical; ipc_bytes_saved={saved} shm_segments={segments}")
+    if saved < 1 or segments < 1:
+        print("FAIL: production run reported no arena traffic",
+              file=sys.stderr)
+        return 1
     if "multiproc.shm_claims_checked" in plain:
         print("FAIL: production run reports the debug counter",
               file=sys.stderr)

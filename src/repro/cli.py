@@ -83,21 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="positions per scan chunk for --workers fan-out",
     )
     solve.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the zero-copy shared-memory fan-out for --workers "
-             "(workers pickle their results back instead; for platforms "
-             "without POSIX shared memory)",
-    )
-    solve.add_argument(
         "--shm-debug", action="store_true",
         help="enable the ShmArena race detector for --workers fan-outs: "
              "workers record their claimed regions and the parent "
-             "raises on any overlap (also: REPRO_SHM_DEBUG=1)",
+             "raises on any overlap",
     )
     solve.add_argument(
         "--inject-fault", action="append", default=[], metavar="SPEC",
         help="deterministic fault injection, e.g. kill-worker:chunk=2, "
-             "kill-worker:threshold=3, corrupt-checkpoint:db=4 "
+             "kill-worker:threshold=3 (kills the task whose threshold "
+             "slice holds 3), corrupt-checkpoint:db=4 "
              "(repeatable; see docs/RESILIENCE.md)",
     )
     solve.add_argument(
@@ -321,8 +316,7 @@ def _solve_resilient(args, game, metrics, faults) -> int:
         checkpoint_dir=args.checkpoint_dir,
         workers=args.workers if args.workers > 1 else None,
         scan_chunk=args.scan_chunk,
-        use_shm=False if args.no_shm else None,
-        shm_debug=True if args.shm_debug else None,
+        shm_debug=args.shm_debug,
         faults=faults,
     )
     runner = PipelineRunner(game, config, metrics=metrics)
@@ -357,7 +351,6 @@ def _solve_resilient(args, game, metrics, faults) -> int:
                 "workers": args.workers,
                 "checkpoint_dir": args.checkpoint_dir,
                 "scan_chunk": args.scan_chunk,
-                "no_shm": bool(args.no_shm),
                 "shm_debug": bool(args.shm_debug),
                 "inject_fault": list(args.inject_fault),
             },

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..games.base import CaptureGame
 from .graph import DatabaseGraph, build_database_graph
-from .values import NO_EXIT
+from .values import NO_EXIT, exit_values
 
 __all__ = ["BoundsResult", "solve_bounds", "BoundsSolver"]
 
@@ -104,9 +104,7 @@ class BoundsSolver:
             )
             bound = self.game.value_bound(db_id)
             if bound == 0:
-                vals = graph.best_exit.astype(np.int16)
-                vals[vals == np.int16(NO_EXIT)] = 0
-                values[db_id] = vals
+                values[db_id] = exit_values(graph.best_exit)
                 sweeps[db_id] = 0
                 continue
             result = solve_bounds(graph, bound)

@@ -21,6 +21,7 @@ from ...simnet.ethernet import EthernetConfig
 from ...simnet.rts import SPMDRuntime
 from ..graph import build_database_graph
 from ..partition import make_partition
+from ..values import exit_values
 from .worker import RAWorker, WorkerConfig
 
 __all__ = ["ParallelConfig", "DatabaseRunStats", "ParallelSolver"]
@@ -142,12 +143,10 @@ class ParallelSolver:
         makespan = runtime.run(max_events=max_events)
 
         # Gather the distributed shards into the canonical value array.
-        values = np.zeros(graph.size, dtype=np.int16)
         if bound == 0:
-            values[:] = np.where(
-                graph.best_exit == np.iinfo(np.int16).min, 0, graph.best_exit
-            )
+            values = exit_values(graph.best_exit)
         else:
+            values = np.zeros(graph.size, dtype=np.int16)
             for w in workers:
                 idx, vals = w.local_values()
                 values[idx] = vals

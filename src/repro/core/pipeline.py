@@ -62,18 +62,12 @@ class PipelineConfig:
     workers: int | None = None
     #: Scan fan-out granularity for the ``multiproc`` backend.
     scan_chunk: int = 1 << 15
-    #: Zero-copy shared-memory fan-out for ``multiproc`` workers
-    #: (``None`` = wherever the platform supports it, ``False`` = the
-    #: ``--no-shm`` pickling path).
-    use_shm: bool | None = None
-    #: Arena race detector for ``multiproc`` shm fan-outs (``None`` =
-    #: follow the ``REPRO_SHM_DEBUG`` environment variable).
-    shm_debug: bool | None = None
+    #: Arena race detector for ``multiproc`` shm fan-outs.
+    shm_debug: bool = False
     #: Retry/rebuild bounds for supervised pools (``multiproc``).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Checkpoint individual threshold runs of ``multiproc`` builds for
     #: databases at least this large (mid-database crash resume).
-    round_snapshots: bool = True
     round_snapshot_min_positions: int = 1 << 15
     #: Optional :class:`~repro.resilience.FaultPlan` (chaos testing).
     faults: object = None
@@ -140,11 +134,7 @@ class PipelineRunner:
     def _round_store(self, db_id) -> RoundStore | None:
         """Per-threshold snapshot store for one database build, when the
         configuration asks for intra-database checkpoints."""
-        if (
-            self._dir is None
-            or self.config.backend != "multiproc"
-            or not self.config.round_snapshots
-        ):
+        if self._dir is None or self.config.backend != "multiproc":
             return None
         size = self.game.db_size(db_id)
         if size < self.config.round_snapshot_min_positions:
@@ -246,7 +236,6 @@ class PipelineRunner:
                 policy=self.config.retry,
                 faults=self.config.faults,
                 chunk=self.config.scan_chunk,
-                use_shm=self.config.use_shm,
                 shm_debug=self.config.shm_debug,
             )
             out = solver.solve_database(db_id, values, round_store=round_store)

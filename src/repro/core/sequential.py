@@ -22,7 +22,9 @@ from .graph import WorkCounters, build_database_graph
 from .kernel import (
     RAProblem, csr_provider, seed_thresholds, solve_kernel, unmove_provider
 )
-from .values import LOSS, WIN, check_nested_thresholds, status_values
+from .values import (
+    LOSS, WIN, check_nested_thresholds, exit_values, status_values
+)
 
 __all__ = ["DatabaseReport", "SolveReport", "SequentialSolver"]
 
@@ -131,8 +133,7 @@ class SequentialSolver:
         bound = self.game.value_bound(db_id)
         if bound == 0:
             # Single-valued database (e.g. the empty awari board).
-            values = graph.best_exit.astype(np.int16)
-            values[values == np.iinfo(np.int16).min] = 0
+            values = exit_values(graph.best_exit)
             report.wall_seconds = time.perf_counter() - t0
             self._record(report)
             return values, report

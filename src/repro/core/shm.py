@@ -5,7 +5,7 @@ communication cost toward zero (message combining packs thousands of
 updates into one Ethernet frame).  The modern-hardware analogue of that
 overhead class is the pickle tax of a process pool: every worker result
 is serialized in the child, shipped over a pipe, and deserialized in
-the parent, so fanning a database scan or a set of threshold runs
+the parent, so fanning a database scan or a set of threshold slices
 across cores moves megabytes per task even though the parent only
 needs a few integers of metadata.
 
@@ -24,34 +24,18 @@ views of it are alive, so the parent copies results out with
 :meth:`ShmArena.take` (a local memcpy — cheap compared to a pickle
 round-trip) before closing.
 
-Platforms without POSIX shared memory fall back to the pickling path;
-gate on :func:`shm_available` (the CLI exposes this as ``--no-shm``).
+The arena is the only way fanned-out results come back: the fan-out
+needs the ``fork`` start method, and every platform with ``fork`` has
+``multiprocessing.shared_memory``.
 """
 
 from __future__ import annotations
 
-import os
+from multiprocessing import shared_memory
 
 import numpy as np
 
-try:  # Python >= 3.8 on POSIX/Windows; guarded for exotic platforms.
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - no shm on this platform
-    _shared_memory = None
-
-__all__ = ["shm_available", "shm_debug_requested", "ShmArena", "ShmRaceError"]
-
-
-def shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable here."""
-    return _shared_memory is not None
-
-
-def shm_debug_requested() -> bool:
-    """True when ``REPRO_SHM_DEBUG`` asks for the claims ledger."""
-    return os.environ.get("REPRO_SHM_DEBUG", "").lower() in (
-        "1", "true", "yes", "on"
-    )
+__all__ = ["ShmArena", "ShmRaceError"]
 
 
 class ShmRaceError(RuntimeError):
@@ -71,8 +55,6 @@ class ShmArena:
     """
 
     def __init__(self, debug: bool = False):
-        if _shared_memory is None:  # pragma: no cover - platform gate
-            raise RuntimeError("shared memory is unavailable on this platform")
         self._segments: dict[str, object] = {}
         self._arrays: dict[str, np.ndarray] = {}
         #: Total bytes allocated across all segments.
@@ -92,7 +74,7 @@ class ShmArena:
         if name in self._segments:
             raise ValueError(f"arena already holds an array named {name!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        segment = _shared_memory.SharedMemory(
+        segment = shared_memory.SharedMemory(
             create=True, size=max(nbytes, 1)
         )
         array = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
@@ -165,7 +147,7 @@ class ShmArena:
         # Deliberately not in self._segments/self.nbytes: the ledger is
         # instrumentation, and must not shift the shm_segments counter
         # or the byte accounting that debug and production runs share.
-        self._claims_segment = _shared_memory.SharedMemory(
+        self._claims_segment = shared_memory.SharedMemory(
             create=True, size=nbytes
         )
         ledger = np.ndarray((rows, self._LEDGER_FIELDS), dtype=np.int64,

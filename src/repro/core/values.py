@@ -25,6 +25,7 @@ __all__ = [
     "NO_EXIT",
     "assemble_values",
     "check_nested_thresholds",
+    "exit_values",
     "status_values",
 ]
 
@@ -55,6 +56,14 @@ def assemble_values(win_sets: list[np.ndarray], loss_sets: list[np.ndarray]) -> 
     for t, (w, l) in enumerate(zip(win_sets, loss_sets), start=1):
         values[w] = t
         values[l] = -t
+    return values
+
+
+def exit_values(best_exit: np.ndarray) -> np.ndarray:
+    """Values of a single-valued database (value bound 0): each
+    position's best exit, or 0 where it has none (:data:`NO_EXIT`)."""
+    values = best_exit.astype(np.int16)
+    values[values == NO_EXIT] = 0
     return values
 
 

@@ -5,7 +5,7 @@ work.  This module turns the failure modes the resilience layer
 defends against into *deterministic, repeatable* injectors:
 
 * ``kill-worker`` — SIGKILL the pool worker executing one chosen task
-  (a scan chunk or a threshold run), exactly once.
+  (a scan chunk or a slice of threshold runs), exactly once.
 * ``drop-conn`` — sever probe connections server-side: every Nth
   accepted connection outright, and/or each connection after K answered
   requests.
@@ -30,7 +30,7 @@ output" assertable.
 Specs are compact strings for the CLI (``--inject-fault``)::
 
     kill-worker:chunk=2          kill the worker scanning chunk 2
-    kill-worker:threshold=3      kill the worker solving threshold 3
+    kill-worker:threshold=3      kill the worker whose slice holds threshold 3
     drop-conn:every=50           drop every 50th accepted connection
     drop-conn:after=100          sever each connection after 100 requests
     drop-conn:every=7,after=100  both
@@ -143,9 +143,10 @@ def _claim_flag(flag_path: str) -> bool:
 class WorkerKillInjector:
     """SIGKILL the process executing one chosen task — once.
 
-    ``scope`` is ``"chunk"`` (scan fan-out) or ``"threshold"``
-    (threshold fan-out); ``target`` is the task number within that
-    scope.  The flag file makes the kill fire exactly once across every
+    ``scope`` is ``"chunk"`` (scan fan-out; ``target`` is the chunk
+    number) or ``"threshold"`` (threshold fan-out; ``target`` is a
+    threshold, and the task whose slice holds it is killed, so the
+    whole slice is replayed).  The flag file makes the kill fire exactly once across every
     fork and pool rebuild, so the replayed task succeeds.
     """
 

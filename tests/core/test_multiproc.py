@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.multiproc import MultiprocessSolver
 from repro.core.sequential import SequentialSolver
-from repro.core.shm import ShmArena, shm_available
+from repro.core.shm import ShmArena
 from repro.games.awari_db import AwariCaptureGame
 from repro.games.kalah import KalahCaptureGame
 from repro.games.synthetic import SyntheticCaptureGame
@@ -42,14 +42,13 @@ class TestMultiprocessSolver:
         for n in range(5):
             np.testing.assert_array_equal(par[n], seq[n])
 
-    @pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "pickle"])
-    def test_parallel_graph_build_equals_sequential_build(self, use_shm):
+    def test_parallel_graph_build_equals_sequential_build(self):
         from repro.core.graph import build_database_graph
 
         game = AwariCaptureGame()
         seq, _ = SequentialSolver(game).solve(5)
         lower = {n: seq[n] for n in range(6)}
-        solver = MultiprocessSolver(game, workers=2, use_shm=use_shm)
+        solver = MultiprocessSolver(game, workers=2)
         mp_graph = solver._build_graph(6, lower, chunk=1 << 12)
         ref = build_database_graph(game, 6, lower)
         np.testing.assert_array_equal(mp_graph.best_exit, ref.best_exit)
@@ -74,40 +73,62 @@ class TestMultiprocessSolver:
         seq, _ = SequentialSolver(game).solve(5)
         lower = {n: seq[n] for n in range(6)}
         ref = build_database_graph(game, 6, lower)
-        for use_shm in (True, False):
-            solver = MultiprocessSolver(game, workers=2, use_shm=use_shm)
-            work = solver._build_graph(6, lower, chunk=1 << 12).work
-            assert work.positions_scanned == ref.work.positions_scanned
-            assert work.moves_generated == ref.work.moves_generated
-            assert work.edges_internal == ref.work.edges_internal
-            assert work.exit_lookups == ref.work.exit_lookups
+        solver = MultiprocessSolver(game, workers=2)
+        work = solver._build_graph(6, lower, chunk=1 << 12).work
+        assert work.positions_scanned == ref.work.positions_scanned
+        assert work.moves_generated == ref.work.moves_generated
+        assert work.edges_internal == ref.work.edges_internal
+        assert work.exit_lookups == ref.work.exit_lookups
 
 
-@pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
 class TestShmFanout:
-    def test_shm_and_pickle_paths_bit_identical(self):
+    def test_shm_fanout_bit_identical_and_counted(self):
         game = AwariCaptureGame()
-        m_shm, m_pkl = MetricsRegistry(), MetricsRegistry()
-        shm = MultiprocessSolver(
-            game, workers=2, metrics=m_shm, chunk=1 << 11
-        ).solve(5)
-        pkl = MultiprocessSolver(
-            game, workers=2, metrics=m_pkl, chunk=1 << 11, use_shm=False
+        seq, _ = SequentialSolver(game).solve(5)
+        m = MetricsRegistry()
+        vals = MultiprocessSolver(
+            game, workers=2, metrics=m, chunk=1 << 11
         ).solve(5)
         for n in range(6):
-            np.testing.assert_array_equal(shm[n], pkl[n])
-        c_shm = m_shm.snapshot()["counters"]
-        c_pkl = m_pkl.snapshot()["counters"]
-        # The arena path ships zero array bytes through the pool; what it
-        # saved is exactly what the pickle path paid.
-        assert c_shm["multiproc.shm_segments"] > 0
-        assert c_shm["multiproc.ipc_bytes_saved"] > 0
-        assert "multiproc.ipc_bytes_pickled" not in c_shm
-        assert "multiproc.ipc_bytes_saved" not in c_pkl
-        assert (
-            c_pkl["multiproc.ipc_bytes_pickled"]
-            == c_shm["multiproc.ipc_bytes_saved"]
+            np.testing.assert_array_equal(vals[n], seq[n])
+        counters = m.snapshot()["counters"]
+        # The arena carries the arrays; the pool only ships metadata.
+        assert counters["multiproc.shm_segments"] > 0
+        assert counters["multiproc.ipc_bytes_saved"] > 0
+
+    def test_threshold_kill_replays_its_slice(self, tmp_path):
+        """Two workers split database 6's thresholds into the slices
+        [1, 3, 5] and [2, 4, 6]; killing threshold 2 kills the second
+        slice's task, whose replay stays bit-identical and checkpoints
+        each of its thresholds once."""
+        from repro.resilience import RoundStore
+        from repro.resilience.faults import FaultPlan
+
+        class CountingStore(RoundStore):
+            def __init__(self, directory, size):
+                super().__init__(directory, size)
+                self.puts = []
+
+            def put(self, t, status):
+                self.puts.append(t)
+                super().put(t, status)
+
+        game = AwariCaptureGame()
+        seq, _ = SequentialSolver(game).solve(6)
+        lower = {n: seq[n] for n in range(6)}
+        plan = FaultPlan.from_specs(
+            ["kill-worker:threshold=2"], state_dir=str(tmp_path / "faults")
         )
+        store = CountingStore(tmp_path / "rounds", size=game.db_size(6))
+        m = MetricsRegistry()
+        values = MultiprocessSolver(
+            game, workers=2, metrics=m, faults=plan
+        ).solve_database(6, lower, round_store=store)
+        assert values.dtype == seq[6].dtype
+        np.testing.assert_array_equal(values, seq[6])
+        assert m.counters.get("resilience.pool_rebuilds", 0) >= 1
+        assert sorted(store.puts) == [1, 2, 3, 4, 5, 6]
+        assert sorted(store.load()) == [1, 2, 3, 4, 5, 6]
 
     def test_replayed_kill_stays_bit_identical_with_shm(self, tmp_path):
         """A SIGKILLed worker's partial arena writes are fully overwritten

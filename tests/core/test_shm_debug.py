@@ -11,18 +11,9 @@ import pytest
 
 from repro.core.multiproc import MultiprocessSolver
 from repro.core.sequential import SequentialSolver
-from repro.core.shm import (
-    ShmArena,
-    ShmRaceError,
-    shm_available,
-    shm_debug_requested,
-)
+from repro.core.shm import ShmArena, ShmRaceError
 from repro.games.awari_db import AwariCaptureGame
 from repro.obs import MetricsRegistry
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="no shared memory on this platform"
-)
 
 
 def _arena(slots=4):
@@ -89,23 +80,6 @@ class TestClaimsLedger:
             with _arena() as debug:
                 assert debug.segments == plain.segments
                 assert debug.nbytes == plain.nbytes
-
-
-def test_shm_debug_requested_reads_the_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM_DEBUG", raising=False)
-    assert not shm_debug_requested()
-    monkeypatch.setenv("REPRO_SHM_DEBUG", "1")
-    assert shm_debug_requested()
-    monkeypatch.setenv("REPRO_SHM_DEBUG", "off")
-    assert not shm_debug_requested()
-
-
-def test_env_var_drives_the_solver_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_DEBUG", "true")
-    assert MultiprocessSolver(AwariCaptureGame()).shm_debug
-    monkeypatch.delenv("REPRO_SHM_DEBUG")
-    assert not MultiprocessSolver(AwariCaptureGame()).shm_debug
-    assert MultiprocessSolver(AwariCaptureGame(), shm_debug=True).shm_debug
 
 
 class TestSolverDebugParity:

@@ -129,6 +129,37 @@ class TestRoundSnapshots:
         np.testing.assert_array_equal(values, reference[6])
         assert metrics.counters["resilience.rounds_resumed"] == 3
 
+    def test_non_contiguous_rounds_are_resumed_bit_identical(
+        self, tmp_path, reference
+    ):
+        """Thresholds {1, 3, 5} stored: only {2, 4, 6} are solved (as the
+        slices [2, 6] and [4]), and the values still match exactly."""
+        from repro.core.kernel import solve_kernel, threshold_init
+
+        class CountingStore(RoundStore):
+            def __init__(self, directory, size):
+                super().__init__(directory, size)
+                self.puts = []
+
+            def put(self, t, status):
+                self.puts.append(t)
+                super().put(t, status)
+
+        game = AwariCaptureGame()
+        lower = {n: reference[n] for n in range(6)}
+        graph = MultiprocessSolver(game, workers=1)._build_graph(6, lower)
+        store = CountingStore(tmp_path / "rounds", size=game.db_size(6))
+        for t in (1, 3, 5):
+            store.put(t, solve_kernel(threshold_init(graph, t)).status)
+        store.puts.clear()
+        metrics = MetricsRegistry()
+        solver = MultiprocessSolver(game, workers=2, metrics=metrics,
+                                    policy=FAST)
+        values = solver.solve_database(6, lower, round_store=store)
+        np.testing.assert_array_equal(values, reference[6])
+        assert sorted(store.puts) == [2, 4, 6]
+        assert metrics.counters["resilience.rounds_resumed"] == 3
+
     def test_pipeline_clears_rounds_after_checkpoint(self, tmp_path, reference):
         cfg = PipelineConfig(
             backend="multiproc", checkpoint_dir=str(tmp_path), workers=2,

@@ -55,9 +55,6 @@ BACKENDS = {
     "multiproc-p4": lambda game, target: MultiprocessSolver(
         game, workers=4
     ).solve(target),
-    "multiproc-p4-no-shm": lambda game, target: MultiprocessSolver(
-        game, workers=4, use_shm=False
-    ).solve(target),
 }
 
 #: The deterministic work counters both capture-game backends must agree
@@ -96,8 +93,7 @@ def test_backend_bit_identical(workload, backend):
         )
 
 
-@pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "no-shm"])
-def test_work_counters_match_sequential(workload, use_shm):
+def test_work_counters_match_sequential(workload):
     """Sequential and multiprocess backends must report identical
     deterministic work counters — the calibrated cost model consumes
     them, so a silent divergence (e.g. ``moves_generated`` counting only
@@ -110,7 +106,7 @@ def test_work_counters_match_sequential(workload, use_shm):
     m_seq, m_mp = MetricsRegistry(), MetricsRegistry()
     Seq(game, metrics=m_seq).solve(target)
     MultiprocessSolver(
-        game, workers=2, chunk=1 << 11, metrics=m_mp, use_shm=use_shm
+        game, workers=2, chunk=1 << 11, metrics=m_mp
     ).solve(target)
     seq = m_seq.snapshot()["counters"]
     mp_ = m_mp.snapshot()["counters"]
