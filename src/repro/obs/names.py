@@ -373,15 +373,6 @@ CLUSTER_SHARDS = "cluster.shards"
 #: Total endpoints (primaries plus replicas) known to the router. (gauge)
 CLUSTER_ENDPOINTS = "cluster.endpoints"
 
-#: Active (unsuppressed) findings of the last staticcheck run (emitted with --metrics-out, e.g. from CI). (gauge)
-STATICCHECK_FINDINGS = "staticcheck.findings"
-
-#: Justified suppressions honored by the last staticcheck run. (gauge)
-STATICCHECK_SUPPRESSED = "staticcheck.suppressed"
-
-#: Files scanned by the last staticcheck run. (gauge)
-STATICCHECK_FILES_SCANNED = "staticcheck.files_scanned"
-
 #: Prefixes of families whose final component is computed at
 #: runtime (per-tag / per-op counts); see DYNAMIC_EXAMPLES.
 DYNAMIC_PREFIXES = (
@@ -510,9 +501,6 @@ GAUGES = frozenset({
     SERVE_CACHE_PEAK_RESIDENT_BYTES,
     SERVE_CACHE_RESIDENT_BLOCKS,
     SERVE_CACHE_RESIDENT_BYTES,
-    STATICCHECK_FILES_SCANNED,
-    STATICCHECK_FINDINGS,
-    STATICCHECK_SUPPRESSED,
 })
 
 HISTOGRAMS = frozenset({

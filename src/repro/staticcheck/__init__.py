@@ -1,11 +1,14 @@
 """repro.staticcheck — AST-based enforcement of the repo's invariants.
 
-The concurrency and durability contracts accumulated by PRs 1–4
-(atomic checkpoint writes, fork-safe pool fan-out, cataloged metric
-names, accounted exception handling, documented CLI flags) are checked
-mechanically here instead of by convention.  ``repro staticcheck
-src/ tests/ scripts/`` runs every rule; see docs/STATICCHECK.md for
-the rule catalog and the suppression syntax.
+The repo's concurrency and durability contracts (atomic checkpoint
+writes, fork-safe pool fan-out, cataloged metric names, accounted
+exception handling, documented CLI flags, socket timeouts, lock
+discipline, non-blocking and awaited coroutines) are checked
+mechanically here instead of by convention.
+``repro staticcheck src/ tests/ scripts/`` runs every rule (RA001–RA009)
+and prints a text report; a finding makes the exit code non-zero.  See
+docs/STATICCHECK.md for the rule catalog, the audit that keeps each
+rule, and the suppression syntax.
 """
 
 from .framework import (
@@ -19,7 +22,7 @@ from .framework import (
     register,
     run_paths,
 )
-from .reporters import render_json, render_text
+from .reporters import render_text
 
 __all__ = [
     "Checker",
@@ -31,6 +34,5 @@ __all__ = [
     "check_source",
     "register",
     "run_paths",
-    "render_json",
     "render_text",
 ]

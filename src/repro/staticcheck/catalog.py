@@ -197,10 +197,6 @@ CATALOG: tuple = (
     Entry("cluster.supervisor.uptime_seconds", _G, "Seconds since the supervisor's monitor loop started."),
     Entry("cluster.shards", _G, "Shard count of the routed cluster."),
     Entry("cluster.endpoints", _G, "Total endpoints (primaries plus replicas) known to the router."),
-    # --------------------------------------------------------- staticcheck
-    Entry("staticcheck.findings", _G, "Active (unsuppressed) findings of the last staticcheck run (emitted with --metrics-out, e.g. from CI)."),
-    Entry("staticcheck.suppressed", _G, "Justified suppressions honored by the last staticcheck run."),
-    Entry("staticcheck.files_scanned", _G, "Files scanned by the last staticcheck run."),
 )
 
 #: Families whose final name component is computed at runtime.

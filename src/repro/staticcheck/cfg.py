@@ -1,12 +1,10 @@
 """Intraprocedural control-flow graphs over the stdlib ``ast``.
 
 The per-statement pattern matchers of RA001–RA006 cannot see *paths*:
-whether a lock is held on every route to an attribute access, or
-whether a socket opened at the top of a function reaches ``close()``
-when the function returns early.  This module builds the control-flow
-graph those questions need, one :class:`CFG` per function (or module),
-from nothing but the parsed AST — no third-party dependency, matching
-the rest of the checker.
+whether a lock is held on every route to an attribute access.  This
+module builds the control-flow graph that question needs, one
+:class:`CFG` per function (or module), from nothing but the parsed
+AST — no third-party dependency, matching the rest of the checker.
 
 The model is deliberately simple and documented here so rule authors
 can reason about it:
@@ -27,9 +25,7 @@ can reason about it:
   routes so facts computed "after the try" always passed through it.
 * *Implicit* exceptions (any call may raise) are **not** modeled as
   edges to the function exit — doing so would make "on all paths"
-  vacuous for every analysis.  Rules that care about implicit
-  exceptions (RA010) handle them by requiring ``with``/``try-finally``
-  shapes instead.
+  vacuous for every analysis.
 * ``break``/``continue`` edge to the innermost loop's exit/header;
   loop ``else`` suites run on normal loop exit only.
 * ``assert`` falls through on success; the failing route is treated
@@ -37,7 +33,7 @@ can reason about it:
 
 ``build_cfg`` accepts a function def (sync or async) or a whole
 module; ``function_cfgs`` walks a tree and yields a CFG per function,
-which is how the dataflow rules consume it.
+which is how the lock-discipline rule (RA007) consumes it.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
-"""Command-line entry point for the checker (``repro staticcheck``)."""
+"""Command-line entry point for the checker (``repro staticcheck``).
+
+One gate: a text report on stdout and an exit code — 0 clean,
+1 findings, 2 usage error.
+"""
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
 from .framework import all_checkers, run_paths
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_text
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -23,108 +26,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids to run "
                              "(default: all)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("--out", default=None,
-                        help="also write the JSON report to this path "
-                             "(atomic; the CI artifact)")
-    parser.add_argument("--sarif-out", default=None,
-                        help="also write a SARIF 2.1.0 report to this "
-                             "path (atomic; uploaded by CI so findings "
-                             "annotate PR diffs)")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write a repro.obs run manifest with "
-                             "staticcheck.* gauges to this path")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="check only files changed per git "
-                             "(working tree + branch point vs the "
-                             "default branch); fast local mode")
     parser.add_argument("--verbose", action="store_true",
                         help="list suppressed findings too")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-
-
-def _git_changed_files(root: Path) -> list | None:
-    """Repo-relative paths git reports as changed, or None when git is
-    unavailable (not a repo, no git binary).
-
-    The union of three diffs — unstaged, staged, and committed since
-    the merge base with the default branch (``origin/main``, falling
-    back to ``main``) — matches "what this PR touches" for local runs.
-    Deleted files drop out naturally (run_paths skips missing paths).
-    """
-    def lines(*argv):
-        try:
-            proc = subprocess.run(
-                ["git", *argv], cwd=root, capture_output=True,
-                text=True, timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        return [line.strip() for line in proc.stdout.splitlines()
-                if line.strip()]
-
-    inside = lines("rev-parse", "--is-inside-work-tree")
-    if not inside or inside[0] != "true":
-        return None
-    changed: list = []
-    seen: set = set()
-    diffs = [("diff", "--name-only"),
-             ("diff", "--name-only", "--cached")]
-    for base in ("origin/main", "main"):
-        if lines("rev-parse", "--verify", "--quiet", base) is not None:
-            diffs.append(("diff", "--name-only", f"{base}...HEAD"))
-            break
-    for argv in diffs:
-        for rel in lines(*argv) or []:
-            if rel not in seen:
-                seen.add(rel)
-                changed.append(rel)
-    return changed
-
-
-def _scope_to_changed(paths, root: Path) -> list | None:
-    """The changed files that fall under the requested paths; None when
-    git state is unavailable, ``[]`` when nothing relevant changed."""
-    changed = _git_changed_files(root)
-    if changed is None:
-        return None
-    requested = [Path(p) if Path(p).is_absolute() else root / p
-                 for p in paths]
-    scoped = []
-    for rel in changed:
-        if not rel.endswith(".py"):
-            continue
-        path = root / rel
-        if not path.is_file():
-            continue  # deleted in the working tree
-        resolved = path.resolve()
-        for req in requested:
-            req = req.resolve()
-            if resolved == req or str(resolved).startswith(str(req) + "/"):
-                scoped.append(str(path))
-                break
-    return scoped
-
-
-def _write_metrics(report, path: Path) -> None:
-    """Persist the run's totals as a ``repro.obs`` manifest, through
-    the cataloged ``staticcheck.*`` gauge names."""
-    from ..obs import MetricsRegistry
-    from ..obs.manifest import RunManifest
-
-    registry = MetricsRegistry()
-    scoped = registry.scoped("staticcheck")
-    scoped.set_gauge("findings", len(report.findings))
-    scoped.set_gauge("suppressed", len(report.suppressed))
-    scoped.set_gauge("files_scanned", report.files_scanned)
-    RunManifest.from_registry(
-        registry, game="staticcheck", command="staticcheck",
-        config={"exit_code": report.exit_code},
-    ).save(path)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -137,41 +42,12 @@ def run(args: argparse.Namespace) -> int:
         return 0
     rules = (None if args.rules is None
              else [r for r in args.rules.split(",") if r])
-    root = Path(args.root)
-    paths = args.paths
-    if args.changed_only:
-        scoped = _scope_to_changed(paths, root)
-        if scoped is None:
-            print("staticcheck: --changed-only needs a git work tree; "
-                  "checking the requested paths in full",
-                  file=sys.stderr)
-        else:
-            paths = scoped
-            if not paths:
-                print("staticcheck: no changed .py files under the "
-                      "requested paths; nothing to do")
-                return 0
     try:
-        report = run_paths(paths, root=root, rules=rules)
+        report = run_paths(args.paths, root=Path(args.root), rules=rules)
     except ValueError as exc:
         print(f"staticcheck: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        from ..resilience.checkpoint import atomic_write_text
-
-        atomic_write_text(Path(args.out), render_json(report))
-    if args.sarif_out:
-        from ..resilience.checkpoint import atomic_write_text
-
-        atomic_write_text(Path(args.sarif_out), render_sarif(report))
-    if args.metrics_out:
-        _write_metrics(report, Path(args.metrics_out))
-    if args.format == "json":
-        print(render_json(report), end="")
-    elif args.format == "sarif":
-        print(render_sarif(report), end="")
-    else:
-        print(render_text(report, verbose=args.verbose))
+    print(render_text(report, verbose=args.verbose))
     return report.exit_code
 
 

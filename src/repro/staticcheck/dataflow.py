@@ -1,22 +1,16 @@
-"""Dataflow analyses over the staticcheck CFG.
+"""Dataflow analysis over the staticcheck CFG.
 
-Two analysis families power the path-sensitive rules:
+:func:`must_held_at` is a *must* analysis over an abstract set of
+"facts" (``lock:self._lock`` is held).  Join is set intersection: a
+fact survives a join only when **every** incoming path established it,
+which is exactly the "on all CFG paths" obligation of the
+lock-discipline rule (RA007).
 
-* :func:`reaching_definitions` — the classic *may* analysis: which
-  assignments of each local name can reach each block.  Join is set
-  union; used to trace a resource handle from its acquisition to its
-  uses and releases (RA010).
-* :class:`HeldFacts` — a *must* analysis over an abstract set of
-  "facts" (``lock:self._lock`` is held, ``resource:sock`` is open).
-  Join is set intersection: a fact survives a join only when **every**
-  incoming path established it, which is exactly the "on all CFG
-  paths" obligation of the lock-discipline rule (RA007).
-
-Both run the textbook worklist algorithm to a fixpoint.  Transfer
-functions are per *statement*, supplied by the rule as gen/kill
-callbacks — the framework owns iteration order and convergence, the
-rule owns semantics.  Loops converge because the lattices are finite
-(sets of program points / declared facts) and the transfer functions
+It runs the textbook worklist algorithm (:func:`solve_forward`) to a
+fixpoint.  Transfer functions are per *statement*, supplied by the
+rule as gen/kill callbacks — the framework owns iteration order and
+convergence, the rule owns semantics.  Loops converge because the
+lattice is finite (sets of declared facts) and the transfer functions
 are monotone.
 """
 
@@ -26,13 +20,7 @@ import ast
 
 from .cfg import CFG, Block
 
-__all__ = [
-    "solve_forward",
-    "reaching_definitions",
-    "must_held_at",
-    "may_facts",
-    "assignments_of",
-]
+__all__ = ["solve_forward", "must_held_at"]
 
 #: Sentinel lattice value for "block not yet visited" in must analyses
 #: (the top element: intersecting with it is the identity).
@@ -79,65 +67,6 @@ def solve_forward(cfg: CFG, transfer, join, initial):
                 if successor not in worklist:
                     worklist.append(successor)
     return block_in, block_out
-
-
-# ------------------------------------------------------- reaching defs
-
-
-def assignments_of(stmt) -> list:
-    """Local names bound by one statement: ``[(name, node), ...]``."""
-    out: list = []
-
-    def collect_target(target):
-        if isinstance(target, ast.Name):
-            out.append((target.id, stmt))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                collect_target(element)
-        elif isinstance(target, ast.Starred):
-            collect_target(target.value)
-
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            collect_target(target)
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        collect_target(stmt.target)
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        collect_target(stmt.target)
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            if item.optional_vars is not None:
-                collect_target(item.optional_vars)
-    elif isinstance(stmt, ast.ExceptHandler):
-        if stmt.name:
-            out.append((stmt.name, stmt))
-    return out
-
-
-def reaching_definitions(cfg: CFG):
-    """Which definitions of each name may reach each block's entry.
-
-    Returns ``(block_in, block_out)``: block → ``{name: frozenset of
-    defining statements}``.  A later definition of a name kills earlier
-    ones along its path; joins union (an ``if``'s two arms both
-    reach the join).
-    """
-
-    def transfer(block: Block, state: dict) -> dict:
-        state = dict(state)
-        for stmt in block.statements:
-            for name, node in assignments_of(stmt):
-                state[name] = frozenset([node])
-        return state
-
-    def join(states: list) -> dict:
-        merged: dict = {}
-        for state in states:
-            for name, defs in state.items():
-                merged[name] = merged.get(name, frozenset()) | defs
-        return merged
-
-    return solve_forward(cfg, transfer, join, initial={})
 
 
 # --------------------------------------------------------- held facts
@@ -206,57 +135,3 @@ def must_held_at(cfg: CFG, gen_kill, initial=frozenset()):
             gen, kill, _ = gen_kill(stmt)
             state = (state - frozenset(kill)) | frozenset(gen)
     return facts_at
-
-
-def may_facts(cfg: CFG, gen_kill):
-    """Per-statement *may*-held facts plus the facts that may survive
-    to each sink (the RA010 engine).
-
-    Same ``gen_kill`` contract as :func:`must_held_at`, but join is
-    **union**: a fact reaches a point if it is live on *some* path
-    (``scoped`` facts are ignored here — a ``with``-managed resource
-    is released by its context manager, so the rule simply never
-    generates a fact for it).  Returns ``(facts_at, exit_facts,
-    raise_facts)`` where ``exit_facts`` is the union state flowing
-    into the normal exit and ``raise_facts`` the state flowing into
-    the uncaught-raise sink — a resource still open in either leaked
-    on some path.
-    """
-
-    def transfer(block: Block, state: frozenset) -> frozenset:
-        for stmt in block.statements:
-            gen, kill, _ = gen_kill(stmt)
-            state = (state - frozenset(kill)) | frozenset(gen)
-        return state
-
-    def join(states: list) -> frozenset:
-        merged = states[0]
-        for state in states[1:]:
-            merged = merged | state
-        return merged
-
-    block_in, _ = solve_forward(cfg, transfer, join, initial=frozenset())
-
-    facts_at: dict = {}
-    for block in cfg.blocks:
-        if block not in block_in:
-            continue
-        state = block_in[block]
-        for stmt in block.statements:
-            facts_at[stmt] = state
-            gen, kill, _ = gen_kill(stmt)
-            state = (state - frozenset(kill)) | frozenset(gen)
-
-    def sink_state(sink: Block) -> frozenset:
-        merged = frozenset()
-        seen = False
-        for pred in sink.predecessors:
-            # The sink's input is its predecessors' outputs: re-run the
-            # transfer over the recorded input state.
-            if pred not in block_in:
-                continue
-            seen = True
-            merged = merged | transfer(pred, block_in[pred])
-        return merged if seen else frozenset()
-
-    return facts_at, sink_state(cfg.exit), sink_state(cfg.raise_exit)

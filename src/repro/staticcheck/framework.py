@@ -166,10 +166,8 @@ def all_checkers() -> dict:
     from . import rules_cliflags  # noqa: F401
     from . import rules_exceptions  # noqa: F401
     from . import rules_forksafe  # noqa: F401
-    from . import rules_frameschema  # noqa: F401
     from . import rules_locks  # noqa: F401
     from . import rules_metrics  # noqa: F401
-    from . import rules_resources  # noqa: F401
     from . import rules_sockets  # noqa: F401
 
     return dict(sorted(_REGISTRY.items()))

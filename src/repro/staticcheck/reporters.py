@@ -1,20 +1,10 @@
-"""Text, JSON and SARIF rendering of a checker :class:`Report`."""
+"""Text rendering of a checker :class:`Report`."""
 
 from __future__ import annotations
 
-import json
-
 from .framework import Report
 
-__all__ = ["render_text", "render_json", "render_sarif"]
-
-#: Bumped when the JSON shape changes; CI parses this artifact.
-JSON_SCHEMA = "repro/staticcheck-report/v1"
-
-#: The SARIF standard pinned by GitHub code-scanning ingestion.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json")
+__all__ = ["render_text"]
 
 
 def render_text(report: Report, verbose: bool = False) -> str:
@@ -39,105 +29,3 @@ def render_text(report: Report, verbose: bool = False) -> str:
         lines.append(f"clean: {report.files_scanned} file(s), "
                      f"{len(report.suppressed)} suppression(s)")
     return "\n".join(lines)
-
-
-def _finding_dict(finding) -> dict:
-    return {
-        "rule": finding.rule,
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "suppressed": finding.suppressed,
-        "justification": finding.justification,
-    }
-
-
-def render_json(report: Report) -> str:
-    """Machine-readable report (the CI artifact)."""
-    return json.dumps(
-        {
-            "schema": JSON_SCHEMA,
-            "files_scanned": report.files_scanned,
-            "findings": [_finding_dict(f) for f in report.findings],
-            "suppressed": [_finding_dict(f) for f in report.suppressed],
-            "counts": report.by_rule(),
-            "exit_code": report.exit_code,
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
-
-
-def _sarif_result(finding) -> dict:
-    result = {
-        "ruleId": finding.rule,
-        "level": "error",
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path,
-                        "uriBaseId": "%SRCROOT%",
-                    },
-                    "region": {
-                        "startLine": max(finding.line, 1),
-                        # SARIF columns are 1-based; ours are 0-based.
-                        "startColumn": finding.col + 1,
-                    },
-                }
-            }
-        ],
-    }
-    if finding.suppressed:
-        result["suppressions"] = [
-            {
-                "kind": "inSource",
-                "justification": finding.justification,
-            }
-        ]
-    return result
-
-
-def render_sarif(report: Report) -> str:
-    """SARIF 2.1.0 report — what GitHub code scanning ingests to turn
-    findings into PR diff annotations.  Active findings are ``error``
-    results; justified suppressions ride along as suppressed results so
-    the budget stays visible in the scanning UI too."""
-    from .framework import all_checkers
-
-    rules = [
-        {
-            "id": rule_id,
-            "name": cls.__name__,
-            "shortDescription": {"text": cls.title},
-            "fullDescription": {"text": cls.rationale},
-            "help": {"text": "See docs/STATICCHECK.md for the rule "
-                             "catalog and suppression syntax."},
-        }
-        for rule_id, cls in all_checkers().items()
-    ]
-    run = {
-        "tool": {
-            "driver": {
-                "name": "repro-staticcheck",
-                "informationUri": "docs/STATICCHECK.md",
-                "rules": rules,
-            }
-        },
-        "results": [
-            _sarif_result(f)
-            for f in list(report.findings) + list(report.suppressed)
-        ],
-        "columnKind": "utf16CodeUnits",
-    }
-    return json.dumps(
-        {
-            "$schema": SARIF_SCHEMA,
-            "version": SARIF_VERSION,
-            "runs": [run],
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"

@@ -29,7 +29,7 @@ _BROAD = {"Exception", "BaseException"}
 
 #: Modules where even a narrow pass-only handler must count the event.
 _REQUEST_PATHS = (
-    "src/repro/serve/server.py",
+    "src/repro/aserve/server.py",
     "src/repro/serve/client.py",
     "src/repro/core/multiproc.py",
     "src/repro/resilience/pool.py",

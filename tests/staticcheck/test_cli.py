@@ -1,12 +1,10 @@
-"""CLI surface: the ``repro staticcheck`` subcommand, JSON reports,
-the ``--out`` artifact and ``--list-rules``."""
+"""CLI surface: the ``repro staticcheck`` subcommand, its exit codes,
+``--verbose`` and ``--list-rules``."""
 
-import json
 from pathlib import Path
 
 from repro.cli import main as repro_main
 from repro.staticcheck.cli import main as staticcheck_main
-from repro.staticcheck.reporters import JSON_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -30,24 +28,6 @@ class TestStaticcheckCli:
         assert code == 1
         assert "RA005" in out
         assert "ra005_cli.py:7" in out
-
-    def test_json_report_and_out_artifact_agree(self, tmp_path, capsys):
-        artifact = tmp_path / "report.json"
-        code = staticcheck_main([
-            str(FIXTURES / "ra005_cli.py"), "--root", str(ROOT),
-            "--format", "json", "--out", str(artifact),
-        ])
-        stdout = capsys.readouterr().out
-        assert code == 1
-        printed = json.loads(stdout)
-        on_disk = json.loads(artifact.read_text())
-        assert printed == on_disk
-        assert on_disk["schema"] == JSON_SCHEMA
-        assert on_disk["exit_code"] == 1
-        [finding] = on_disk["findings"]
-        assert finding["rule"] == "RA005"
-        assert finding["line"] == 7
-        assert finding["path"].endswith("ra005_cli.py")
 
     def test_list_rules_names_every_rule(self, capsys):
         assert staticcheck_main(["--list-rules"]) == 0

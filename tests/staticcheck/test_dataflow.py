@@ -9,11 +9,7 @@ solver property rather than re-testing the production rules.
 import ast
 
 from repro.staticcheck.cfg import build_cfg
-from repro.staticcheck.dataflow import (
-    may_facts,
-    must_held_at,
-    reaching_definitions,
-)
+from repro.staticcheck.dataflow import must_held_at
 
 
 def cfg_of(source):
@@ -63,49 +59,6 @@ def lock_gen_kill(stmt):
                 elif node.func.id == "release":
                     kill.append("lock")
     return gen, kill, ()
-
-
-class TestReachingDefinitions:
-    def test_branch_defs_union_at_join(self):
-        func, cfg = cfg_of(
-            "def f(x):\n"
-            "    if x:\n"
-            "        a = 1\n"
-            "    else:\n"
-            "        a = 2\n"
-            "    use(a)\n"
-        )
-        block_in, _ = reaching_definitions(cfg)
-        join = cfg.block_of(stmt_at(func, 6))
-        defs = block_in[join]["a"]
-        assert defs == frozenset({stmt_at(func, 3), stmt_at(func, 5)})
-
-    def test_redefinition_kills_along_a_path(self):
-        func, cfg = cfg_of(
-            "def f():\n"
-            "    a = 1\n"
-            "    a = 2\n"
-            "    use(a)\n"
-        )
-        _, block_out = reaching_definitions(cfg)
-        block = cfg.block_of(stmt_at(func, 4))
-        assert block_out[block]["a"] == frozenset({stmt_at(func, 3)})
-
-    def test_loop_carried_defs_reach_the_header(self):
-        func, cfg = cfg_of(
-            "def f(xs):\n"
-            "    a = 0\n"
-            "    for x in xs:\n"
-            "        a = a + 1\n"
-            "    use(a)\n"
-        )
-        block_in, _ = reaching_definitions(cfg)
-        header = cfg.block_of(stmt_at(func, 3))
-        # Fixpoint: both the pre-loop and in-loop definitions flow into
-        # the header via the back edge.
-        assert block_in[header]["a"] == frozenset(
-            {stmt_at(func, 2), stmt_at(func, 4)}
-        )
 
 
 class TestMustHeldAt:
@@ -190,86 +143,3 @@ class TestMustHeldAt:
         facts = must_held_at(cfg, lock_gen_kill,
                              initial=frozenset({"lock"}))
         assert "lock" in facts[stmt_at(func, 2)]
-
-
-def resource_gen_kill(stmt):
-    """gen the local name on ``name = open_resource()``; kill it on
-    ``name.close()``."""
-    gen, kill = [], []
-    if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call) \
-            and isinstance(stmt.value.func, ast.Name) \
-            and stmt.value.func.id == "open_resource" \
-            and isinstance(stmt.targets[0], ast.Name):
-        gen.append(stmt.targets[0].id)
-    for expr in own_exprs(stmt):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "close" \
-                    and isinstance(node.func.value, ast.Name):
-                kill.append(node.func.value.id)
-    return gen, kill, ()
-
-
-class TestMayFacts:
-    def test_union_join_keeps_either_paths_fact(self):
-        func, cfg = cfg_of(
-            "def f(x):\n"
-            "    if x:\n"
-            "        r = open_resource()\n"
-            "    use()\n"
-        )
-        facts, exit_facts, raise_facts = may_facts(cfg, resource_gen_kill)
-        assert "r" in facts[stmt_at(func, 4)]  # may be open here
-        assert exit_facts == frozenset({"r"})
-        assert raise_facts == frozenset()
-
-    def test_close_on_every_path_clears_the_exit(self):
-        func, cfg = cfg_of(
-            "def f(x):\n"
-            "    r = open_resource()\n"
-            "    if x:\n"
-            "        r.close()\n"
-            "    else:\n"
-            "        r.close()\n"
-        )
-        _, exit_facts, raise_facts = may_facts(cfg, resource_gen_kill)
-        assert exit_facts == frozenset()
-        assert raise_facts == frozenset()
-
-    def test_raise_path_tracked_separately(self):
-        func, cfg = cfg_of(
-            "def f(x):\n"
-            "    r = open_resource()\n"
-            "    if x:\n"
-            "        raise ValueError(x)\n"
-            "    r.close()\n"
-        )
-        _, exit_facts, raise_facts = may_facts(cfg, resource_gen_kill)
-        assert exit_facts == frozenset()
-        assert raise_facts == frozenset({"r"})
-
-    def test_finally_close_covers_the_raise_route(self):
-        func, cfg = cfg_of(
-            "def f(x):\n"
-            "    r = open_resource()\n"
-            "    try:\n"
-            "        if x:\n"
-            "            raise ValueError(x)\n"
-            "    finally:\n"
-            "        r.close()\n"
-        )
-        _, exit_facts, raise_facts = may_facts(cfg, resource_gen_kill)
-        assert exit_facts == frozenset()
-        assert raise_facts == frozenset()
-
-    def test_loop_open_close_converges(self):
-        func, cfg = cfg_of(
-            "def f(xs):\n"
-            "    for x in xs:\n"
-            "        r = open_resource()\n"
-            "        r.close()\n"
-            "    done()\n"
-        )
-        _, exit_facts, raise_facts = may_facts(cfg, resource_gen_kill)
-        assert exit_facts == frozenset()

@@ -10,6 +10,7 @@ scope is ``src/repro/``).
 from pathlib import Path
 
 from repro.staticcheck import run_paths
+from repro.staticcheck.rules_exceptions import _REQUEST_PATHS
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -24,8 +25,6 @@ SEEDED = (
     "ra007_guarded.py",
     "ra008_blocking.py",
     "ra009_orphans.py",
-    "ra010_resources.py",
-    "ra011_frames.py",
 )
 
 
@@ -105,29 +104,6 @@ class TestSeededViolations:
             ("RA009", 28),  # async method without await
         ]
 
-    def test_ra010_resource_lifetime(self):
-        assert _findings("ra010_resources.py", ["RA010"]) == [
-            ("RA010", 12),  # SharedMemory never closed
-            ("RA010", 17),  # open() leaks on the early return
-            ("RA010", 26),  # socket leaks on the raise path
-        ]
-
-    def test_ra010_messages_name_the_leaking_route(self):
-        report = run_paths([str(FIXTURES / "ra010_resources.py")],
-                           root=ROOT, rules=["RA010"],
-                           enforce_scope=False)
-        by_line = {f.line: f.message for f in report.findings}
-        assert "some path" in by_line[12]
-        assert "an explicit-raise path" in by_line[26]
-
-    def test_ra011_frame_schema_drift(self):
-        assert _findings("ra011_frames.py", ["RA011"]) == [
-            ("RA011", 13),  # LENGTH endianness flip
-            ("RA011", 15),  # TRAILER not in the schema
-            ("RA011", 20),  # OP_PING renumbered
-            ("RA011", 29),  # VALUE_DTYPE widened
-        ]
-
     def test_all_rules_fire_with_correct_locations(self):
         """The acceptance gate: one run over every seeded fixture
         reports every rule id at exactly the seeded file:line."""
@@ -169,14 +145,15 @@ class TestSeededViolations:
             ("RA009", "ra009_orphans.py", 14),
             ("RA009", "ra009_orphans.py", 15),
             ("RA009", "ra009_orphans.py", 28),
-            ("RA010", "ra010_resources.py", 12),
-            ("RA010", "ra010_resources.py", 17),
-            ("RA010", "ra010_resources.py", 26),
-            ("RA011", "ra011_frames.py", 13),
-            ("RA011", "ra011_frames.py", 15),
-            ("RA011", "ra011_frames.py", 20),
-            ("RA011", "ra011_frames.py", 29),
         }
+
+
+class TestRuleScopes:
+    def test_ra004_request_paths_exist(self):
+        """A request-path entry naming a deleted module guards nothing."""
+        missing = [rel for rel in _REQUEST_PATHS
+                   if not (ROOT / rel).is_file()]
+        assert missing == []
 
 
 class TestCleanAndSuppressed:
