@@ -64,14 +64,34 @@ class CSR:
 
     @staticmethod
     def from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> "CSR":
-        """Build CSR from an edge list (bincount offsets, stable argsort)."""
+        """Build CSR from an edge list: bincount offsets, and each row's
+        destinations in input order (what a stable argsort of ``src``
+        gives).
+
+        Sources that are already non-decreasing are that order, so
+        ``dst`` is copied as it is.  Otherwise one int64 key per edge,
+        ``src * E + edge_index``, is sorted with NumPy's (SIMD) sort:
+        keys are distinct, so any sort puts equal sources in edge order.
+        The key must fit in int64, so ``n * E >= 2**63`` is rejected
+        before anything is allocated.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
+        n_edges = int(src.shape[0])
+        if int(n) * n_edges >= 1 << 63:
+            raise ValueError(
+                f"{n} nodes x {n_edges} edges overflows the int64 sort key"
+            )
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(src, kind="stable")
-        return CSR(indptr=indptr, indices=dst[order])
+        if n_edges < 2 or (src[1:] >= src[:-1]).all():
+            return CSR(indptr=indptr, indices=dst.copy())
+        key = src * n_edges
+        key += np.arange(n_edges, dtype=np.int64)
+        key.sort()
+        np.remainder(key, n_edges, out=key)
+        return CSR(indptr=indptr, indices=dst[key])
 
     def transpose(self, n: int) -> "CSR":
         """Reverse adjacency over ``n`` nodes.
@@ -177,8 +197,8 @@ def scan_chunk_to_parts(
     """Scan positions ``start <= i < stop`` of ``db_id`` into graph parts.
 
     The single implementation of the terminal/capture/internal move
-    handling, shared by :func:`build_database_graph` and both fan-out
-    paths of :class:`~repro.core.multiproc.MultiprocessSolver`, so the
+    handling, shared by :func:`build_database_graph` and the scan
+    fan-out of :class:`~repro.core.multiproc.MultiprocessSolver`, so the
     scan semantics (and the work counters) cannot drift between the
     sequential and multiprocess backends.
     """

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,32 +150,39 @@ class PipelineRunner:
         status = PipelineStatus()
         manifest = self._load_manifest()
         values: dict = {}
-        for db_id in self.game.db_sequence(target):
-            loaded = self._try_load(db_id, manifest)
-            if loaded is not None:
-                values[db_id] = loaded
-                status.resumed.append(db_id)
-                self.metrics.inc(names.PIPELINE_DATABASES_RESUMED)
-                continue
-            t_db = time.perf_counter()
-            round_store = self._round_store(db_id)
-            values[db_id], build_metrics = self._solve_one(
-                db_id, values, round_store
-            )
-            status.solved.append(db_id)
-            self.metrics.inc(names.PIPELINE_DATABASES_SOLVED)
-            record = {
-                "backend": self.config.backend,
-                "positions": int(values[db_id].shape[0]),
-                "wall_seconds": time.perf_counter() - t_db,
-                "metrics": build_metrics,
-            }
-            self.metrics.merge(build_metrics)
-            self._checkpoint(db_id, values[db_id], manifest, record)
-            if round_store is not None:
-                # The final values are safely on disk; the per-threshold
-                # snapshots are redundant from here on.
-                round_store.clear()
+        sequence = list(self.game.db_sequence(target))
+        with ExitStack() as scope:
+            mp_solver = None
+            for db_id in sequence:
+                loaded = self._try_load(db_id, manifest)
+                if loaded is not None:
+                    values[db_id] = loaded
+                    status.resumed.append(db_id)
+                    self.metrics.inc(names.PIPELINE_DATABASES_RESUMED)
+                    continue
+                if self.config.backend == "multiproc" and mp_solver is None:
+                    # Fork once for the run, at the first database it builds.
+                    mp_solver = scope.enter_context(
+                        self._multiproc_session(sequence))
+                t_db = time.perf_counter()
+                round_store = self._round_store(db_id)
+                values[db_id], build_metrics = self._solve_one(
+                    db_id, values, round_store, mp_solver
+                )
+                status.solved.append(db_id)
+                self.metrics.inc(names.PIPELINE_DATABASES_SOLVED)
+                record = {
+                    "backend": self.config.backend,
+                    "positions": int(values[db_id].shape[0]),
+                    "wall_seconds": time.perf_counter() - t_db,
+                    "metrics": build_metrics,
+                }
+                self.metrics.merge(build_metrics)
+                self._checkpoint(db_id, values[db_id], manifest, record)
+                if round_store is not None:
+                    # The final values are safely on disk; the
+                    # per-threshold snapshots are redundant from here on.
+                    round_store.clear()
         status.wall_seconds = time.perf_counter() - t0
         return values, status
 
@@ -213,7 +221,26 @@ class PipelineRunner:
                 raise ValueError(f"checkpoint for db {db_id} is corrupt")
         return array
 
-    def _solve_one(self, db_id, values, round_store=None):
+    @contextmanager
+    def _multiproc_session(self, sequence):
+        """One :class:`~repro.core.multiproc.MultiprocessSolver`, its
+        pool and its arena for every database the run builds.  The
+        arena's own counters land in the run-level registry."""
+        from .multiproc import MultiprocessSolver
+
+        solver = MultiprocessSolver(
+            self.game,
+            workers=self.config.workers,
+            metrics=self.metrics,
+            policy=self.config.retry,
+            faults=self.config.faults,
+            chunk=self.config.scan_chunk,
+            shm_debug=self.config.shm_debug,
+        )
+        with solver.session(sequence):
+            yield solver
+
+    def _solve_one(self, db_id, values, round_store=None, mp_solver=None):
         """Build one database; returns ``(values, metrics snapshot)``.
 
         Each build gets a fresh registry so its snapshot is exactly this
@@ -227,18 +254,8 @@ class PipelineRunner:
             out, _ = solver.solve_database(db_id, values)
             return out, build.snapshot()
         if backend == "multiproc":
-            from .multiproc import MultiprocessSolver
-
-            solver = MultiprocessSolver(
-                self.game,
-                workers=self.config.workers,
-                metrics=build,
-                policy=self.config.retry,
-                faults=self.config.faults,
-                chunk=self.config.scan_chunk,
-                shm_debug=self.config.shm_debug,
-            )
-            out = solver.solve_database(db_id, values, round_store=round_store)
+            mp_solver.metrics = build
+            out = mp_solver.solve_database(db_id, values, round_store=round_store)
             return out, build.snapshot()
         solver = ParallelSolver(self.game, self.config.parallel, metrics=build)
         out, _ = solver.solve_database(db_id, values)

@@ -10,19 +10,25 @@ across cores moves megabytes per task even though the parent only
 needs a few integers of metadata.
 
 :class:`ShmArena` removes that tax.  The parent allocates named numpy
-arrays backed by ``multiprocessing.shared_memory`` segments; workers
-forked from the parent inherit the arena through a module global and
-write their results directly into their own *disjoint* slice of each
-array.  Pool results shrink to small metadata tuples (ids, counts, wall
-times), and a task replayed after a worker crash simply re-writes its
-own region — byte-identical, because the region is owned by exactly one
-task (see :mod:`repro.resilience`).
+arrays backed by ``multiprocessing.shared_memory`` segments before its
+worker pool forks; the workers inherit the arena through a module
+global and read their inputs from it and write their results directly
+into their own *disjoint* slice of each array.  Pool results shrink to
+small metadata tuples (ids, counts, wall times), and a task replayed
+after a worker crash simply re-writes its own region — byte-identical,
+because the region is owned by exactly one task (see
+:mod:`repro.resilience`).
+
+A :class:`~repro.core.multiproc.MultiprocessSolver` run allocates one
+arena, sized for its largest database, and every database of the run
+reuses it.  Allocation touches nothing: a new POSIX segment already
+reads as zeros, and a page costs memory only once it is written.
 
 The parent stays the owner of every segment: :meth:`ShmArena.close`
 unlinks them all.  ``mmap`` refuses to unmap a segment while numpy
-views of it are alive, so the parent copies results out with
-:meth:`ShmArena.take` (a local memcpy — cheap compared to a pickle
-round-trip) before closing.
+views of it are alive, so the parent copies results out (a local memcpy
+— cheap compared to a pickle round-trip) and keeps no view past the
+fan-out that filled it.
 
 The arena is the only way fanned-out results come back: the fan-out
 needs the ``fork`` start method, and every platform with ``fork`` has
@@ -70,7 +76,9 @@ class ShmArena:
     # ------------------------------------------------------------ lifecycle
 
     def alloc(self, name: str, shape, dtype) -> np.ndarray:
-        """Create one zero-filled shared array under ``name``."""
+        """Create one shared array under ``name``.  It reads as zeros (a
+        new segment is zero-filled by the OS, page by page on first
+        touch), so nothing is written here."""
         if name in self._segments:
             raise ValueError(f"arena already holds an array named {name!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
@@ -78,14 +86,15 @@ class ShmArena:
             create=True, size=max(nbytes, 1)
         )
         array = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-        array[...] = 0
         self._segments[name] = segment
         self._arrays[name] = array
         self.nbytes += nbytes
         return array
 
     def close(self) -> None:
-        """Drop all views and unlink every segment (idempotent)."""
+        """Drop all views and unlink every segment (idempotent).  Every
+        name is unlinked before any mapping is closed, so nothing is left
+        in ``/dev/shm`` even if a stray view makes a close fail."""
         self._arrays.clear()
         self._claims = None
         segments = list(self._segments.values())
@@ -94,11 +103,12 @@ class ShmArena:
             segments.append(self._claims_segment)
             self._claims_segment = None
         for segment in segments:
-            segment.close()
             try:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
+        for segment in segments:
+            segment.close()
 
     def __enter__(self) -> "ShmArena":
         return self
@@ -129,7 +139,8 @@ class ShmArena:
     # determined by its (task slot, array) pair — so a task replayed
     # after a SIGKILL overwrites its own earlier claim instead of
     # raising a false positive — and the parent validates all claims
-    # for overlap before consuming the results.
+    # for overlap before consuming the results, then clears the ledger
+    # for the arena's next fan-out.
 
     _LEDGER_FIELDS = 3  # start, stop, owner (used-flag: stop >= start >= 0)
 
@@ -179,8 +190,9 @@ class ShmArena:
 
     def check_claims(self) -> int:
         """Validate (in the parent) that all recorded claims are
-        pairwise disjoint per array; returns the number of claims
-        checked.  Raises :class:`ShmRaceError` on the first overlap."""
+        pairwise disjoint per array, then clear the ledger for the next
+        fan-out; returns the number of claims checked.  Raises
+        :class:`ShmRaceError` on the first overlap."""
         if self._claims is None:
             return 0
         n_arrays = len(self._claim_index)
@@ -203,4 +215,5 @@ class ShmArena:
                         f"(owner {o1}) wrote [{s1}:{e1}) and task {t2} "
                         f"(owner {o2}) wrote [{s2}:{e2})"
                     )
+        self._claims[...] = -1
         return checked

@@ -3,6 +3,8 @@ miniature problems (no game engine involved)."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import CSR, build_database_graph, scan_chunk_to_parts
 from repro.core.kernel import RAProblem, csr_provider, solve_kernel, threshold_init
@@ -155,10 +157,101 @@ class TestTransposeValidation:
         assert rev.n_edges == 2
 
 
+def argsort_csr(n, src, dst):
+    """The reference CSR construction: bincount offsets and a stable
+    argsort of the sources."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, src, dst)`` with parallel edges, self-loops and isolated
+    nodes all likely at these sizes; sources sorted half the time."""
+    n = draw(st.integers(1, 40))
+    n_edges = draw(st.integers(0, 120))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=n_edges, max_size=n_edges))
+    dst = draw(st.lists(node, min_size=n_edges, max_size=n_edges))
+    if draw(st.booleans()):
+        src.sort()
+    return n, src, dst
+
+
+class TestFromEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    @example((1, [], []))
+    @example((5, [], []))
+    @example((1, [0, 0, 0], [0, 0, 0]))
+    @example((4, [3, 1, 3, 1, 0], [2, 2, 1, 1, 3]))
+    def test_matches_stable_argsort(self, case):
+        n, src, dst = case
+        csr = CSR.from_edges(n, np.array(src, dtype=np.int64),
+                             np.array(dst, dtype=np.int64))
+        indptr, indices = argsort_csr(n, src, dst)
+        assert csr.indptr.dtype == np.int64 and csr.indices.dtype == np.int64
+        np.testing.assert_array_equal(csr.indptr, indptr)
+        np.testing.assert_array_equal(csr.indices, indices)
+
+    def test_sorted_sources_do_not_alias_the_input(self):
+        dst = np.array([2, 0, 1], dtype=np.int64)
+        csr = CSR.from_edges(3, np.array([0, 1, 1]), dst)
+        dst[0] = 9
+        assert csr.indices.tolist() == [2, 0, 1]
+
+    def test_key_overflow_raises_before_allocating(self):
+        # bincount over 2**62 nodes would need 2**65 bytes: the check
+        # has to come first for this to be a ValueError at all.
+        with pytest.raises(ValueError, match="overflows"):
+            CSR.from_edges(2 ** 62, np.array([1, 0]), np.array([0, 1]))
+
+
+def _edge_list(game, db_id, lower, chunk=1 << 15):
+    size = game.db_size(db_id)
+    parts = [scan_chunk_to_parts(game, db_id, lower, start,
+                                 min(start + chunk, size))
+             for start in range(0, size, chunk)]
+    return (np.concatenate([p.src for p in parts]),
+            np.concatenate([p.dst for p in parts]))
+
+
+class TestCsrBitIdentity:
+    """``build_database_graph`` gives the forward and reverse CSRs of the
+    stable-argsort construction, array for array."""
+
+    @pytest.mark.parametrize("game_name, target", [
+        ("awari", 7), ("kalah", 5), ("synthetic", 3),
+    ])
+    def test_graph_csrs_equal_argsort_reference(self, game_name, target):
+        from repro.core.sequential import SequentialSolver
+        from repro.games.kalah import KalahCaptureGame
+        from repro.games.synthetic import SyntheticCaptureGame
+
+        game = {
+            "awari": AwariCaptureGame,
+            "kalah": KalahCaptureGame,
+            "synthetic": lambda: SyntheticCaptureGame(
+                levels=4, max_size=60, seed=5),
+        }[game_name]()
+        values, _ = SequentialSolver(game).solve(target)
+        for db_id in game.db_sequence(target):
+            graph = build_database_graph(game, db_id, values)
+            src, dst = _edge_list(game, db_id, values)
+            for csr, (a, b) in ((graph.forward, (src, dst)),
+                                (graph.reverse, (dst, src))):
+                indptr, indices = argsort_csr(graph.size, a, b)
+                np.testing.assert_array_equal(csr.indptr, indptr)
+                np.testing.assert_array_equal(csr.indices, indices)
+
+
 class TestScanChunkToParts:
     """The shared chunk-scan helper is the single source of truth for
     terminal/capture/internal handling (used by the sequential builder
-    and both multiprocess fan-out paths)."""
+    and the multiprocess scan fan-out)."""
 
     @pytest.fixture(scope="class")
     def setup(self):

@@ -1,9 +1,13 @@
-"""Multiprocessing backend tests (correctness only — this repository's CI
-environment has a single core, so wall-clock speedups are not asserted)."""
+"""Multiprocessing backend tests (correctness and structure only — CI
+runners have few cores shared with other jobs, so wall-clock speedups
+are not asserted; bench/ measures them)."""
+
+import os
 
 import numpy as np
 import pytest
 
+from repro.core import multiproc
 from repro.core.multiproc import MultiprocessSolver
 from repro.core.sequential import SequentialSolver
 from repro.core.shm import ShmArena
@@ -48,8 +52,8 @@ class TestMultiprocessSolver:
         game = AwariCaptureGame()
         seq, _ = SequentialSolver(game).solve(5)
         lower = {n: seq[n] for n in range(6)}
-        solver = MultiprocessSolver(game, workers=2)
-        mp_graph = solver._build_graph(6, lower, chunk=1 << 12)
+        solver = MultiprocessSolver(game, workers=2, chunk=1 << 12)
+        mp_graph = solver._build_graph(6, lower)
         ref = build_database_graph(game, 6, lower)
         np.testing.assert_array_equal(mp_graph.best_exit, ref.best_exit)
         np.testing.assert_array_equal(mp_graph.out_degree, ref.out_degree)
@@ -73,8 +77,8 @@ class TestMultiprocessSolver:
         seq, _ = SequentialSolver(game).solve(5)
         lower = {n: seq[n] for n in range(6)}
         ref = build_database_graph(game, 6, lower)
-        solver = MultiprocessSolver(game, workers=2)
-        work = solver._build_graph(6, lower, chunk=1 << 12).work
+        solver = MultiprocessSolver(game, workers=2, chunk=1 << 12)
+        work = solver._build_graph(6, lower).work
         assert work.positions_scanned == ref.work.positions_scanned
         assert work.moves_generated == ref.work.moves_generated
         assert work.edges_internal == ref.work.edges_internal
@@ -164,3 +168,100 @@ class TestShmFanout:
         arena.close()
         assert copied.tolist() == list(range(8))
         arena.close()  # idempotent
+
+    def test_large_alloc_reads_back_as_zeros(self):
+        # alloc writes nothing: a fresh segment is zero-filled by the OS.
+        with ShmArena() as arena:
+            block = arena.alloc("big", (64 << 20,), np.uint8)
+            assert not block.any()
+            del block
+
+
+class CountingPool(multiproc.SupervisedPool):
+    """``SupervisedPool`` that counts its instances and logs, per
+    ``map``, the database its tasks belong to and the pool's rebuild
+    count once the map is done."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        type(self).built += 1
+        self.log = []
+        type(self).last = self
+
+    def map(self, tasks, on_result=None):
+        results = super().map(tasks, on_result=on_result)
+        self.log.append((tasks[0][1][0], self.rebuilds))
+        return results
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(CountingPool, "built", 0)
+    monkeypatch.setattr(multiproc, "SupervisedPool", CountingPool)
+    return CountingPool
+
+
+def _shm_names():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+class TestForkOnce:
+    """One pool and one arena serve every database of a solve."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        values, _ = SequentialSolver(AwariCaptureGame()).solve(7)
+        return values
+
+    def test_one_pool_per_solve(self, counting_pool, reference):
+        m = MetricsRegistry()
+        values = MultiprocessSolver(
+            AwariCaptureGame(), workers=2, metrics=m).solve(7)
+        for n in range(8):
+            np.testing.assert_array_equal(values[n], reference[n])
+        assert counting_pool.built == 1
+        assert [db for db, _ in counting_pool.last.log] == [
+            0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
+        # One arena: values, best_exit, out_degree, src, dst,
+        # rev_indptr, rev_indices, status.
+        assert m.counters["multiproc.shm_segments"] == 8
+
+    def test_rebuilt_pool_carries_the_later_databases(
+            self, counting_pool, reference, tmp_path):
+        from repro.resilience.faults import FaultPlan
+
+        plan = FaultPlan.from_specs(["kill-worker:threshold=3"],
+                                    state_dir=str(tmp_path))
+        m = MetricsRegistry()
+        values = MultiprocessSolver(
+            AwariCaptureGame(), workers=2, metrics=m, faults=plan).solve(7)
+        for n in range(8):
+            np.testing.assert_array_equal(values[n], reference[n])
+        assert counting_pool.built == 1
+        assert m.counters["resilience.pool_rebuilds"] == 1
+        rebuilt = {db: n for db, n in counting_pool.last.log}
+        assert [rebuilt[db] for db in range(8)] == [0, 0, 0, 1, 1, 1, 1, 1]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm to inspect")
+    def test_no_segment_outlives_a_solve(self, tmp_path):
+        from repro.resilience import PoolFailedError, RetryPolicy
+        from repro.resilience.faults import FaultPlan
+
+        game = AwariCaptureGame()
+        before = _shm_names()
+        MultiprocessSolver(game, workers=2).solve(5)
+        assert _shm_names() - before == set()
+        plan = FaultPlan.from_specs(["kill-worker:chunk=1"],
+                                    state_dir=str(tmp_path / "replay"))
+        MultiprocessSolver(game, workers=2, faults=plan).solve(5)
+        assert _shm_names() - before == set()
+        plan = FaultPlan.from_specs(["kill-worker:threshold=3"],
+                                    state_dir=str(tmp_path / "fail"))
+        policy = RetryPolicy(max_pool_rebuilds=0, backoff_seconds=0.001)
+        with pytest.raises(PoolFailedError):
+            MultiprocessSolver(game, workers=2, faults=plan,
+                               policy=policy).solve(5)
+        assert _shm_names() - before == set()

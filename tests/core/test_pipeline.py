@@ -215,3 +215,45 @@ class TestBuildRecords:
         metrics2 = MetricsRegistry()
         PipelineRunner(game, cfg, metrics=metrics2).run(1)
         assert metrics2.counters == {"pipeline.databases_resumed": 2}
+
+
+class TestMultiprocRun:
+    def test_one_pool_per_run_with_per_database_records(
+            self, tmp_path, monkeypatch):
+        """``repro solve --workers N`` forks once for the whole run, and
+        each build record still holds exactly its own database's
+        counters: the ones a standalone ``solve_database`` of that
+        database counts.  The run's one arena is counted once, in the
+        run-level registry, rather than in any record."""
+        from repro.core import multiproc
+        from repro.core.multiproc import MultiprocessSolver
+        from repro.obs import MetricsRegistry
+
+        built = []
+
+        class CountingPool(multiproc.SupervisedPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(multiproc, "SupervisedPool", CountingPool)
+        game = AwariCaptureGame()
+        run_metrics = MetricsRegistry()
+        cfg = PipelineConfig(backend="multiproc", workers=2,
+                             checkpoint_dir=str(tmp_path))
+        values, status = PipelineRunner(game, cfg, metrics=run_metrics).run(6)
+        assert status.solved == list(range(7))
+        assert len(built) == 1
+        assert run_metrics.counters["multiproc.shm_segments"] == 8
+        records = json.loads((tmp_path / "manifest.json").read_text())
+        for db_id in range(7):
+            alone = MetricsRegistry()
+            lower = {d: values[d] for d in range(db_id)}
+            np.testing.assert_array_equal(
+                MultiprocessSolver(game, workers=2, metrics=alone)
+                .solve_database(db_id, lower),
+                values[db_id])
+            expected = dict(alone.snapshot()["counters"])
+            assert expected.pop("multiproc.shm_segments") == 8
+            counters = records["databases"][str(db_id)]["metrics"]["counters"]
+            assert counters == expected

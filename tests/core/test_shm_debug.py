@@ -105,6 +105,22 @@ class TestSolverDebugParity:
         del c_dbg["multiproc.shm_claims_checked"]
         assert c_dbg == c_plain
 
+    def test_more_workers_than_cores_keep_one_arena_disjoint(self):
+        """Four workers share one arena across seven databases: every
+        fan-out's claims are validated and cleared, and a lost or
+        overlapping write would show in the values."""
+        game = AwariCaptureGame()
+        seq, _ = SequentialSolver(game).solve(6)
+        m = MetricsRegistry()
+        vals = MultiprocessSolver(
+            game, workers=4, metrics=m, chunk=512, shm_debug=True
+        ).solve(6)
+        for n in range(7):
+            np.testing.assert_array_equal(vals[n], seq[n])
+        counters = m.snapshot()["counters"]
+        assert counters["multiproc.shm_segments"] == 8
+        assert counters["multiproc.shm_claims_checked"] > 0
+
     def test_debug_stays_silent_under_kill_replay(self, tmp_path):
         from repro.resilience.faults import FaultPlan
 
