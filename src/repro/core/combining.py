@@ -29,10 +29,13 @@ UPDATE_BYTES = 5
 class UpdatePacket:
     """A combined batch of updates for one destination.
 
-    ``kinds`` is an opaque one-byte tag per update.  The RA workers pack
-    ``threshold << 1 | kind`` into it (kind 0 = child became WIN, so
-    decrement the parent's counter; kind 1 = child became LOSS, so the
-    parent can win) — see ``repro.core.parallel.worker.pack_kind``.
+    ``positions`` are local slots on the destination (the owner of each
+    updated parent), so the receiver indexes its state without a
+    partition lookup.  ``kinds`` is an opaque one-byte tag per update.
+    The RA workers pack ``threshold << 1 | kind`` into it (kind 0 =
+    child became WIN, so decrement the parent's counter; kind 1 = child
+    became LOSS, so the parent can win) — see
+    ``repro.core.parallel.worker.pack_kind``.
     """
 
     positions: np.ndarray
@@ -64,10 +67,10 @@ class CombiningStats:
 
 
 class CombiningBuffers:
-    """Per-destination update buffers for one worker: row ``d`` of two
-    ``(n_dest, width)`` arrays holds ``pending(d)`` updates.  ``width``
-    starts at ``min(capacity, 1024)`` and doubles on demand, so a huge
-    capacity costs only what is actually buffered."""
+    """Per-destination update buffers for one worker: a pair of Python
+    lists (positions, kinds) per destination holds ``pending(d)``
+    updates.  A simulated step buffers a handful of updates, so plain
+    lists fit it; a packet's arrays are built once, when it leaves."""
 
     def __init__(self, n_dest: int, capacity: int):
         if capacity < 1:
@@ -76,65 +79,52 @@ class CombiningBuffers:
             raise ValueError("need at least one destination")
         self.capacity = int(capacity)
         self.n_dest = int(n_dest)
-        self._width = min(self.capacity, 1024)
-        self._positions = np.empty((self.n_dest, self._width), dtype=np.int64)
-        self._kinds = np.empty((self.n_dest, self._width), dtype=np.uint8)
-        self._fill = [0] * n_dest
+        self._positions: list = [[] for _ in range(self.n_dest)]
+        self._kinds: list = [[] for _ in range(self.n_dest)]
+        #: Updates buffered over all destinations.
+        self.total_pending = 0
         self.stats = CombiningStats()
 
     def pending(self, dest: int) -> int:
-        return self._fill[dest]
+        return len(self._positions[dest])
 
-    @property
-    def total_pending(self) -> int:
-        return sum(self._fill)
-
-    def append(self, dest_of: np.ndarray, positions: np.ndarray, kinds: np.ndarray):
-        """Buffer a batch of updates, yielding ``(dest, packet)`` for every
-        buffer that reaches capacity.  One stable argsort groups the batch;
-        each group is copied into its row as one slice."""
-        dest_of = np.asarray(dest_of, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        kinds = np.asarray(kinds, dtype=np.uint8)
-        if not (dest_of.shape == positions.shape == kinds.shape):
+    def append(self, dests, positions, kinds):
+        """Buffer a batch of updates given as equal-length sequences of
+        ints, yielding ``(dest, packet)`` for every buffer that reaches
+        capacity, in ascending destination order.  Each destination
+        keeps its updates in arrival order."""
+        n = len(dests)
+        if not n == len(positions) == len(kinds):
             raise ValueError("mismatched update batch arrays")
-        n = dest_of.shape[0]
-        if n == 0:
-            return []
         self.stats.updates += n
-        order = dest_of.argsort(kind="stable")
-        dest_of, positions, kinds = dest_of[order], positions[order], kinds[order]
-        cuts = ((dest_of[1:] != dest_of[:-1]).nonzero()[0] + 1).tolist()
-        starts = [0, *cuts]
+        self.total_pending += n
+        for dest, position, kind in zip(dests, positions, kinds):
+            self._positions[dest].append(position)
+            self._kinds[dest].append(kind)
         ready = []
-        for dest, a, b in zip(dest_of[starts].tolist(), starts, [*cuts, n]):
-            fill = self._fill[dest]
-            end = fill + b - a
-            if end > self._width:
-                extra = max(end, 2 * self._width) - self._width
-                self._width += extra
-                self._positions = np.pad(self._positions, ((0, 0), (0, extra)))
-                self._kinds = np.pad(self._kinds, ((0, 0), (0, extra)))
-            self._positions[dest, fill:end] = positions[a:b]
-            self._kinds[dest, fill:end] = kinds[a:b]
-            self._fill[dest] = end
-            if end >= self.capacity:
-                ready += self._pop(dest, end - end % self.capacity)
+        for dest in sorted(set(dests)):
+            fill = len(self._positions[dest])
+            if fill >= self.capacity:
+                ready += self._pop(dest, fill - fill % self.capacity)
         self.stats.capacity_flushes += len(ready)
         return ready
 
     def _pop(self, dest: int, stop: int) -> list:
-        """Ship ``dest``'s first ``stop`` updates (one row-slice copy) as
-        packets of up to ``capacity``; the rest moves to the row's front."""
-        fill, cap = self._fill[dest], self.capacity
-        pos, kin = self._positions[dest, :stop].copy(), self._kinds[dest, :stop].copy()
-        self._positions[dest, : fill - stop] = self._positions[dest, stop:fill]
-        self._kinds[dest, : fill - stop] = self._kinds[dest, stop:fill]
-        self._fill[dest] = fill - stop
+        """Ship ``dest``'s first ``stop`` updates as packets of up to
+        ``capacity``; the rest stays buffered."""
+        cap, pos, kin = self.capacity, self._positions[dest], self._kinds[dest]
         packets = [
-            (dest, UpdatePacket(positions=pos[a : a + cap], kinds=kin[a : a + cap]))
+            (
+                dest,
+                UpdatePacket(
+                    positions=np.array(pos[a : a + cap], dtype=np.int64),
+                    kinds=np.array(kin[a : a + cap], dtype=np.uint8),
+                ),
+            )
             for a in range(0, stop, cap)
         ]
+        del pos[:stop], kin[:stop]
+        self.total_pending -= stop
         self.stats.packets += len(packets)
         return packets
 
@@ -142,7 +132,7 @@ class CombiningBuffers:
         """Drain every buffer (the worker's idle linger has expired)."""
         ready = []
         for dest in range(self.n_dest):
-            if self._fill[dest]:
-                ready += self._pop(dest, self._fill[dest])
+            if self._positions[dest]:
+                ready += self._pop(dest, len(self._positions[dest]))
         self.stats.forced_flushes += len(ready)
         return ready

@@ -22,9 +22,11 @@ the paper's algorithm:
    next stone count (the broadcast carries timing/bytes; the canonical
    value arrays are collected by the driver).
 
-All heavy steps are vectorized; CPU time is charged through the
-:class:`~repro.simnet.costs.CostModel` so the simulated clock reflects a
-1995 C implementation rather than this Python one.
+The apply is the kernel's vectorized ``apply_updates``; a step's
+routing (usually one or two slots) runs on Python ints and lists.  CPU
+time is charged through the :class:`~repro.simnet.costs.CostModel` so
+the simulated clock reflects a 1995 C implementation rather than this
+Python one.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ _PHASE_DONE = "done"
 #: Simulated sizes (bytes) of control messages and per-item payloads.
 _CTRL_BYTES = 16
 _EDGE_BYTES = 8
+
+#: ``LOSS`` as a Python int, for status bytes read with ``ndarray.item``.
+_LOSS = int(LOSS)
 
 
 def pack_kind(threshold: np.ndarray, kind: np.ndarray) -> np.ndarray:
@@ -128,8 +133,12 @@ class RAWorker(Actor):
         # The kernel's (bound, n_local) state, threshold t in row t - 1.
         self.status = self.counts = self.loss_eligible = self.values = None
 
-        #: Frontier of freshly finalized (threshold, local slots) batches.
+        #: Frontier of freshly finalized (threshold, [local slot, ...]) batches.
         self.frontier: deque = deque()
+        #: Cached modes: every owned slot's parents as (owner, slot on owner).
+        self._routes = (
+            None if config.predecessor_mode == "unmove" else self._routing_table()
+        )
         self.buffers = CombiningBuffers(self.size, config.combining_capacity)
         self.safra = SafraState(rank, self.size)
 
@@ -354,13 +363,44 @@ class RAWorker(Actor):
 
     # --------------------------------------------------------- propagation
 
-    def _predecessors(self, children_global: np.ndarray):
-        mode = self.config.predecessor_mode
-        if mode == "unmove":
-            return self.game.predecessors_internal(self.db_id, children_global)
-        # Cached/CSR modes read the host-side transposed graph; in
-        # "unmove-cached" the *charges* still model run-time un-moving.
-        return self.graph.reverse.neighbors_of(children_global)
+    def _routing_table(self) -> tuple:
+        """``(ptr, owners, slots)``: the parents of owned slot ``i`` are
+        entries ``ptr[i]:ptr[i + 1]`` of two flat lists, their owners and
+        their slots on those owners, read once from the host-side
+        transposed graph.  In ``unmove-cached`` mode the *charges* still
+        model run-time un-moving."""
+        reverse = self.graph.reverse
+        _, parents = reverse.neighbors_of(self.own_global)
+        degree = reverse.indptr[self.own_global + 1] - reverse.indptr[self.own_global]
+        return (
+            [0, *np.cumsum(degree).tolist()],
+            self.partition.owner_of(parents).tolist(),
+            self.partition.to_local(parents).tolist(),
+        )
+
+    def _parents(self, slots: list, base: int):
+        """Every parent edge of the children ``base + slots`` (flat state
+        indices) as three lists: the parent's owner, its slot there, and
+        whether the child is a LOSS (so the parent wins)."""
+        status = self._flat_state[0]
+        if self._routes is None:
+            child_row, parents = self.game.predecessors_internal(
+                self.db_id, self.own_global[slots]
+            )
+            loss = status[np.add(slots, base)] == LOSS
+            return (
+                self.partition.owner_of(parents).tolist(),
+                self.partition.to_local(parents).tolist(),
+                loss[child_row].tolist(),
+            )
+        ptr, all_owners, all_slots = self._routes
+        owners, parent_slots, wins = [], [], []
+        for slot in slots:
+            a, b = ptr[slot], ptr[slot + 1]
+            owners += all_owners[a:b]
+            parent_slots += all_slots[a:b]
+            wins += [status.item(base + slot) == _LOSS] * (b - a)
+        return owners, parent_slots, wins
 
     def _generate_cost(self) -> float:
         if self.config.predecessor_mode == "csr":
@@ -369,30 +409,37 @@ class RAWorker(Actor):
 
     def _process_batch(self, ctx: Context) -> None:
         threshold, slots = self.frontier.popleft()
-        if slots.shape[0] > self.config.work_batch:
-            self.frontier.appendleft((threshold, slots[self.config.work_batch :]))
-            slots = slots[: self.config.work_batch]
-        children_global = self.own_global[slots]
-        loss_child = self.status[threshold - 1][slots] == LOSS  # parents win
-        child_row, parents_global = self._predecessors(children_global)
+        work_batch = self.config.work_batch
+        if len(slots) > work_batch:
+            self.frontier.appendleft((threshold, slots[work_batch:]))
+            slots = slots[:work_batch]
+        base = (threshold - 1) * self.n_local
+        owners, parent_slots, wins = self._parents(slots, base)
+        n_parents = len(owners)
         ctx.charge(
-            slots.shape[0] * self.config.costs.threshold_init_position
-            + parents_global.shape[0] * self._generate_cost()
+            len(slots) * self.config.costs.threshold_init_position
+            + n_parents * self._generate_cost()
         )
-        ctx.stats.bump("updates_generated", int(parents_global.shape[0]))
-        win = loss_child[child_row]
-        owners = self.partition.owner_of(parents_global)
-        local = owners == self.rank
-        n_here = int(np.count_nonzero(local))
-        if n_here:
-            flat = self.partition.to_local(parents_global[local])
-            self._apply_updates(ctx, flat + (threshold - 1) * self.n_local, win[local])
-            ctx.stats.bump("updates_local", n_here)
-        if n_here < local.shape[0]:
-            remote = ~local
-            ready = self.buffers.append(owners[remote], parents_global[remote],
-                                        pack_kind(threshold, win[remote]))
-            self._send_packets(ctx, ready)
+        ctx.stats.bump("updates_generated", n_parents)
+        # Local parents are flat state indices; remote ones carry their
+        # slot on the owner and the pack_kind tag.
+        rank, tag = self.rank, threshold << 1
+        local, local_win, dests, positions, kinds = [], [], [], [], []
+        for owner, slot, win in zip(owners, parent_slots, wins):
+            if owner == rank:
+                local.append(base + slot)
+                local_win.append(win)
+            else:
+                dests.append(owner)
+                positions.append(slot)
+                kinds.append(tag | win)
+        if local:
+            self._apply_updates(
+                ctx, np.array(local, dtype=np.int64), np.array(local_win, dtype=bool)
+            )
+            ctx.stats.bump("updates_local", len(local))
+        if dests:
+            self._send_packets(ctx, self.buffers.append(dests, positions, kinds))
 
     def _apply_updates(self, ctx: Context, flat: np.ndarray, win: np.ndarray):
         """Apply updates at ``flat = (threshold - 1) * n_local + slot``
@@ -407,12 +454,13 @@ class RAWorker(Actor):
     def _extend_frontier(self, *done: np.ndarray):
         """Queue sorted flat indices by threshold, ascending; within a
         threshold, the arrays in argument order (WINs before LOSSes)."""
-        n = self.n_local
-        for row in sorted({r for d in done for r in (d // n).tolist()}):
-            for d in done:
-                a, b = d.searchsorted((row * n, row * n + n)).tolist()
-                if a < b:
-                    self.frontier.append((row + 1, d[a:b] - row * n))
+        batches: dict = {}
+        for i, d in enumerate(done):
+            for flat in d.tolist():
+                row, slot = divmod(flat, self.n_local)
+                batches.setdefault((row, i), []).append(slot)
+        for row, i in sorted(batches):
+            self.frontier.append((row + 1, batches[row, i]))
 
     def _send_packets(self, ctx: Context, ready) -> None:
         for dest, packet in ready:
@@ -424,8 +472,7 @@ class RAWorker(Actor):
     def _msg_update(self, ctx: Context, msg: Message) -> None:
         self.safra.on_app_receive()
         thresholds, kinds = unpack_kind(msg.payload.kinds)
-        flat = self.partition.to_local(msg.payload.positions)
-        flat += (thresholds.astype(np.int64) - 1) * self.n_local
+        flat = msg.payload.positions + (thresholds.astype(np.int64) - 1) * self.n_local
         self._apply_updates(ctx, flat, kinds == KIND_WIN)
 
     # --------------------------------------------------------- termination

@@ -46,7 +46,8 @@ class Simulator:
 
         The queue running dry is global quiescence: no processor has work
         and no message is in flight.  ``max_events`` guards against
-        protocol livelock in tests.
+        protocol livelock in tests: a run that still has events queued
+        after that many raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -54,14 +55,14 @@ class Simulator:
         processed = 0
         try:
             while self._queue:
-                when, _, fn, args = heapq.heappop(self._queue)
-                self.now = when
-                fn(*args)
-                processed += 1
                 if max_events is not None and processed >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; livelock?"
                     )
+                when, _, fn, args = heapq.heappop(self._queue)
+                self.now = when
+                fn(*args)
+                processed += 1
         finally:
             self._running = False
             self._events_processed += processed

@@ -37,6 +37,18 @@ CONFIGS = {
     "p4-capacity1": ParallelConfig(
         n_procs=4, predecessor_mode="unmove-cached", combining_capacity=1
     ),
+    "p4-unmove": ParallelConfig(n_procs=4),
+    "p5-hash-unmove-cached": ParallelConfig(
+        n_procs=5, partition="hash", predecessor_mode="unmove-cached"
+    ),
+    "p3-block-csr": ParallelConfig(
+        n_procs=3, partition="block", predecessor_mode="csr"
+    ),
+    "p4-speeds": ParallelConfig(
+        n_procs=4,
+        predecessor_mode="unmove-cached",
+        node_speeds=(1.0, 2.0, 1.5, 0.7),
+    ),
 }
 
 

@@ -266,10 +266,11 @@ class TestFlatApply:
             )
         np.testing.assert_array_equal(worker.status, ref_status)
         np.testing.assert_array_equal(worker.counts, ref_counts)
-        assert [(t, s.tolist()) for t, s in worker.frontier] == [
-            (t, s.tolist()) for t, s in ref_frontier
-        ]
-        assert all(type(t) is int for t, _ in worker.frontier)
+        assert list(worker.frontier) == [(t, s.tolist()) for t, s in ref_frontier]
+        assert all(
+            type(t) is int and all(type(x) is int for x in s)
+            for t, s in worker.frontier
+        )
         assert ctx.stats.counters.get("updates_applied", 0) == sum(map(len, batches))
 
 

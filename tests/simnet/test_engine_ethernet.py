@@ -62,6 +62,24 @@ class TestSimulator:
         with pytest.raises(SimulationError, match="livelock"):
             sim.run(max_events=100)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_max_events_is_inclusive(self, n):
+        """A run that needs exactly ``max_events`` events finishes; one
+        event fewer is a livelock, reported with events still queued."""
+
+        def fresh():
+            sim = Simulator()
+            for _ in range(n):
+                sim.schedule(1.0, lambda: None)
+            return sim
+
+        assert fresh().run(max_events=n) == n
+        sim = fresh()
+        with pytest.raises(SimulationError, match=f"max_events={n - 1}"):
+            sim.run(max_events=n - 1)
+        assert sim.events_processed == n - 1
+        assert sim.pending == 1
+
     def test_event_count(self):
         sim = Simulator()
         for _ in range(5):
