@@ -46,7 +46,7 @@ import threading
 import time
 
 from ..aserve import frames
-from ..obs import NULL_METRICS, names
+from ..obs import NULL_METRICS
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -111,7 +111,7 @@ class CircuitBreaker:
         if (self._state == BREAKER_OPEN
                 and self._clock() >= self._open_until):
             self._state = BREAKER_HALF_OPEN
-            self._metrics.inc(names.CLUSTER_BREAKER_PROBES)
+            self._metrics.inc("cluster.breaker.probes")
         return self._state
 
     def allow(self) -> bool:
@@ -127,7 +127,7 @@ class CircuitBreaker:
             self._state = BREAKER_CLOSED
             self._failures = 0
         if reinstated:
-            self._metrics.inc(names.CLUSTER_BREAKER_CLOSES)
+            self._metrics.inc("cluster.breaker.closes")
         return reinstated
 
     def record_failure(self) -> None:
@@ -143,7 +143,7 @@ class CircuitBreaker:
                 self._state = BREAKER_OPEN
                 self._open_until = self._clock() + self.reset_seconds
         if trip:
-            self._metrics.inc(names.CLUSTER_BREAKER_OPENS)
+            self._metrics.inc("cluster.breaker.opens")
 
 
 #: Candidate ordering: probe-back first, trusted next, distrusted last.

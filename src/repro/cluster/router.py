@@ -67,7 +67,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from ..obs import NULL_METRICS, names
+from ..obs import NULL_METRICS
 from ..serve.client import (
     ProbeError,
     ProbeOverloadedError,
@@ -204,9 +204,9 @@ class ShardRouter:
         # Attempts a race left in flight: [(shard, attempt)].
         self._stragglers: list = []
         self._game = None
-        self._metrics.set_gauge(names.CLUSTER_SHARDS, manifest.n_shards)
+        self._metrics.set_gauge("cluster.shards", manifest.n_shards)
         self._metrics.set_gauge(
-            names.CLUSTER_ENDPOINTS,
+            "cluster.endpoints",
             sum(len(group) for group in self._endpoints),
         )
 
@@ -286,7 +286,7 @@ class ShardRouter:
             return None
         remaining = deadline_at - self._clock()
         if remaining <= 0:
-            self._metrics.inc(names.CLUSTER_DEADLINE_EXCEEDED)
+            self._metrics.inc("cluster.deadline_exceeded")
             raise ProbeError(
                 f"shard {shard}: deadline of {self._deadline}s exceeded "
                 f"(last: {last})"
@@ -300,7 +300,7 @@ class ShardRouter:
         try:
             client = self._take_client(shard, endpoint)
         except ProbeTransportError:
-            self._metrics.inc(names.CLUSTER_SHARD_ERRORS)
+            self._metrics.inc("cluster.shard_errors")
             self._health.breaker(shard, endpoint).record_failure()
             raise
         if remaining is not None:
@@ -318,11 +318,11 @@ class ShardRouter:
         except ProbeOverloadedError:
             # The endpoint is alive and shedding load: hand the client
             # back, leave the breaker alone, let the caller fail over.
-            self._metrics.inc(names.CLUSTER_OVERLOADS)
+            self._metrics.inc("cluster.overloads")
             self._return_client(shard, endpoint, client)
             raise
         except ProbeTransportError:
-            self._metrics.inc(names.CLUSTER_SHARD_ERRORS)
+            self._metrics.inc("cluster.shard_errors")
             breaker.record_failure()
             client.close()
             raise
@@ -353,7 +353,7 @@ class ShardRouter:
             # A plain ProbeError (application rejection, deadline)
             # propagates: no replica would answer differently.
             if i < len(candidates) - 1:
-                self._metrics.inc(names.CLUSTER_FAILOVERS)
+                self._metrics.inc("cluster.failovers")
         raise ProbeError(
             f"shard {shard}: all {total} endpoints failed "
             f"(last: {last})"
@@ -530,7 +530,7 @@ class ShardRouter:
 
     def probe(self, db_id, index: int) -> int:
         """Exact value of global position ``index`` of ``db_id``."""
-        self._metrics.inc(names.CLUSTER_PROBES)
+        self._metrics.inc("cluster.probes")
         ((shard, _, _, local),) = self._route(
             [db_id], np.zeros(1, dtype=np.intp),
             np.asarray([index], dtype=np.int64),
@@ -550,13 +550,13 @@ class ShardRouter:
         original request slots.
         """
         directory, db_slots, indices = split_positions(positions)
-        self._metrics.inc(names.CLUSTER_BATCHES)
-        self._metrics.inc(names.CLUSTER_PROBES, int(indices.shape[0]))
+        self._metrics.inc("cluster.batches")
+        self._metrics.inc("cluster.probes", int(indices.shape[0]))
         out = np.empty(indices.shape[0], dtype=np.int16)
         if not indices.shape[0]:
             return out
         routed = self._route(directory, db_slots, indices)
-        self._metrics.inc(names.CLUSTER_FANOUTS, len(routed))
+        self._metrics.inc("cluster.fanouts", len(routed))
         self._scatter(directory, routed, out)
         return out
 
@@ -582,7 +582,7 @@ class ShardRouter:
             for shard, _, batch, attempts in flights:
                 backups = self._untried(shard, attempts)
                 if backups and not attempts[0][2].done():
-                    self._metrics.inc(names.CLUSTER_HEDGES)
+                    self._metrics.inc("cluster.hedges")
                     attempts.append(
                         self._submit(shard, backups[0], batch, deadline_at)
                     )
@@ -606,13 +606,13 @@ class ShardRouter:
             rest = self._untried(shard, attempts)
             failovers = len(attempts) - 1 + (1 if rest else 0)
             if failovers:
-                self._metrics.inc(names.CLUSTER_FAILOVERS, failovers)
+                self._metrics.inc("cluster.failovers", failovers)
             return self._sequential(
                 shard, lambda c: c.probe_packed(*batch), rest, deadline_at,
                 already=len(attempts), last=exc,
             )
         if winner != attempts[0][0]:
-            self._metrics.inc(names.CLUSTER_HEDGE_WINS)
+            self._metrics.inc("cluster.hedge_wins")
         return values
 
     def depth_of(self, db_id, index: int):
@@ -636,7 +636,7 @@ class ShardRouter:
         scatter-gathered like any other batch)."""
         from ..db.query import evaluate_moves
 
-        self._metrics.inc(names.CLUSTER_BEST_MOVE_QUERIES)
+        self._metrics.inc("cluster.best_move_queries")
         return evaluate_moves(self.game, self, board)
 
     def best_moves(self, board: np.ndarray):
@@ -644,7 +644,7 @@ class ShardRouter:
         logic as the in-memory path, probing through the router."""
         from ..db.query import best_moves
 
-        self._metrics.inc(names.CLUSTER_BEST_MOVE_QUERIES)
+        self._metrics.inc("cluster.best_move_queries")
         return best_moves(self.game, self, board)
 
     # ------------------------------------------------------------ lifecycle

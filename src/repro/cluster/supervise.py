@@ -42,7 +42,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..obs import NULL_METRICS, names
+from ..obs import NULL_METRICS
 from ..resilience.retry import backoff_delay
 from .health import probe_endpoint
 from .launch import ClusterLaunchError
@@ -186,10 +186,10 @@ class ClusterMonitor:
                 continue
             self._check_endpoint(shard, endpoint, state)
         self._metrics.set_gauge(
-            names.CLUSTER_SUPERVISOR_ALIVE, self.supervisor.alive()
+            "cluster.supervisor.alive", self.supervisor.alive()
         )
         self._metrics.set_gauge(
-            names.CLUSTER_SUPERVISOR_UPTIME_SECONDS,
+            "cluster.supervisor.uptime_seconds",
             self._clock() - self._started_at,
         )
 
@@ -234,7 +234,7 @@ class ClusterMonitor:
         if len(state.restart_times) >= self.policy.max_restarts:
             state.gave_up = True
             state.pending = False
-            self._metrics.inc(names.CLUSTER_SUPERVISOR_GIVEUPS)
+            self._metrics.inc("cluster.supervisor.giveups")
             self._notify(
                 "giveup", shard, endpoint,
                 f"{len(state.restart_times)} restarts within "
@@ -258,7 +258,7 @@ class ClusterMonitor:
         state.restart_times.append(now)
         state.total_restarts += 1
         state.pending = False
-        self._metrics.inc(names.CLUSTER_SUPERVISOR_RESTARTS)
+        self._metrics.inc("cluster.supervisor.restarts")
         self._notify(
             "restart", shard, endpoint,
             f"respawned on {replacement.host}:{replacement.port} "
@@ -271,7 +271,7 @@ class ClusterMonitor:
 
     def _probe(self, shard: int, endpoint: int) -> bool:
         address = self.supervisor.topology.endpoints[shard][endpoint]
-        self._metrics.inc(names.CLUSTER_SUPERVISOR_HEALTH_PROBES)
+        self._metrics.inc("cluster.supervisor.health_probes")
         return probe_endpoint(
             address.host, address.port, timeout=self.probe_timeout
         )

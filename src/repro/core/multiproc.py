@@ -44,7 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from ..games.base import CaptureGame
-from ..obs import NULL_METRICS, names
+from ..obs import NULL_METRICS
 from ..resilience import RetryPolicy, SupervisedPool
 from .graph import (
     CSR,
@@ -196,7 +196,7 @@ class MultiprocessSolver:
         global _GAME, _FAULTS, _ARENA, _LAYOUT
         try:
             self._arena = self._alloc_arena(list(dict.fromkeys(db_ids)))
-            self.metrics.inc(names.MULTIPROC_SHM_SEGMENTS, self._arena.segments)
+            self.metrics.inc("multiproc.shm_segments", self._arena.segments)
             _GAME, _FAULTS, _ARENA, _LAYOUT = (
                 self.game, self.faults, self._arena, self._layout)
             with SupervisedPool(
@@ -228,16 +228,16 @@ class MultiprocessSolver:
         m = self.metrics
         t_db = time.perf_counter()
         graph = self._build_graph(db_id, lower_values)
-        m.inc(names.MULTIPROC_DATABASES)
-        m.inc(names.MULTIPROC_POSITIONS_SCANNED, graph.work.positions_scanned)
-        m.inc(names.MULTIPROC_MOVES_GENERATED, graph.work.moves_generated)
-        m.inc(names.MULTIPROC_EDGES_INTERNAL, graph.work.edges_internal)
-        m.inc(names.MULTIPROC_EXIT_LOOKUPS, graph.work.exit_lookups)
+        m.inc("multiproc.databases")
+        m.inc("multiproc.positions_scanned", graph.work.positions_scanned)
+        m.inc("multiproc.moves_generated", graph.work.moves_generated)
+        m.inc("multiproc.edges_internal", graph.work.edges_internal)
+        m.inc("multiproc.exit_lookups", graph.work.exit_lookups)
         bound = self.game.value_bound(db_id)
         if bound == 0:
             values = exit_values(graph.best_exit)
             m.observe_seconds(
-                names.MULTIPROC_SOLVE_DATABASE, time.perf_counter() - t_db
+                "multiproc.solve_database", time.perf_counter() - t_db
             )
             return values
         thresholds = list(range(1, bound + 1))
@@ -247,13 +247,13 @@ class MultiprocessSolver:
                 t: s for t, s in round_store.load().items() if t in thresholds
             }
             if statuses:
-                m.inc(names.RESILIENCE_ROUNDS_RESUMED, len(statuses))
+                m.inc("resilience.rounds_resumed", len(statuses))
         todo = [t for t in thresholds if t not in statuses]
 
         def record(rows, status, kernel_stats):
-            m.inc(names.MULTIPROC_PROPAGATION_ROUNDS, kernel_stats[0])
-            m.inc(names.MULTIPROC_PARENT_NOTIFICATIONS, kernel_stats[1])
-            m.observe_seconds(names.MULTIPROC_THRESHOLD_SECONDS, kernel_stats[2])
+            m.inc("multiproc.propagation_rounds", kernel_stats[0])
+            m.inc("multiproc.parent_notifications", kernel_stats[1])
+            m.observe_seconds("multiproc.threshold_seconds", kernel_stats[2])
             for t, row in zip(rows, status):
                 statuses[t] = row
                 if round_store is not None:
@@ -266,9 +266,9 @@ class MultiprocessSolver:
                 graph.size, graph.best_exit, graph.out_degree, graph.reverse,
                 todo,
             ))
-        m.inc(names.MULTIPROC_THRESHOLDS, len(thresholds))
+        m.inc("multiproc.thresholds", len(thresholds))
         values = status_values(np.stack([statuses[t] for t in thresholds]))
-        m.observe_seconds(names.MULTIPROC_SOLVE_DATABASE, time.perf_counter() - t_db)
+        m.observe_seconds("multiproc.solve_database", time.perf_counter() - t_db)
         return values
 
     def _chunk_starts(self, size: int) -> range:
@@ -320,7 +320,7 @@ class MultiprocessSolver:
             # Guarded: the counter must not appear (even at 0) in
             # non-debug runs, or counter-parity assertions between
             # debug and production runs would see a phantom key.
-            self.metrics.inc(names.MULTIPROC_SHM_CLAIMS_CHECKED,
+            self.metrics.inc("multiproc.shm_claims_checked",
                              self._arena.check_claims())
         return results
 
@@ -342,7 +342,7 @@ class MultiprocessSolver:
             # Copy the slice's rows out of the arena: a local memcpy
             # instead of a cross-process pickle.
             block = self._arena["status"][starts[i] * n:starts[i + 1] * n].copy()
-            m.inc(names.MULTIPROC_IPC_BYTES_SAVED, block.nbytes)
+            m.inc("multiproc.ipc_bytes_saved", block.nbytes)
             record(slices[i], block.reshape(-1, n), kernel_stats)
 
         self._map(tasks, on_result)
@@ -382,9 +382,9 @@ class MultiprocessSolver:
         for (n_edges, counts, child_s), lo, hi in zip(scanned, bounds, bounds[1:]):
             work.moves_generated += counts[0]
             work.exit_lookups += counts[1]
-            m.inc(names.MULTIPROC_SCAN_CHUNKS)
-            m.observe_seconds(names.MULTIPROC_SCAN_SECONDS, child_s)
-            m.inc(names.MULTIPROC_IPC_BYTES_SAVED,
+            m.inc("multiproc.scan_chunks")
+            m.observe_seconds("multiproc.scan_seconds", child_s)
+            m.inc("multiproc.ipc_bytes_saved",
                   (hi - lo) * (2 + 4) + 16 * n_edges)
             spans.append(slice(lo * slots, lo * slots + n_edges))
         src = np.concatenate([arena["src"][span] for span in spans])

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..games.base import CaptureGame
-from ..obs import MetricsRegistry, NULL_METRICS, names
+from ..obs import MetricsRegistry, NULL_METRICS
 from ..resilience import (
     CheckpointCorruptError,
     RetryPolicy,
@@ -158,7 +158,7 @@ class PipelineRunner:
                 if loaded is not None:
                     values[db_id] = loaded
                     status.resumed.append(db_id)
-                    self.metrics.inc(names.PIPELINE_DATABASES_RESUMED)
+                    self.metrics.inc("pipeline.databases_resumed")
                     continue
                 if self.config.backend == "multiproc" and mp_solver is None:
                     # Fork once for the run, at the first database it builds.
@@ -170,7 +170,7 @@ class PipelineRunner:
                     db_id, values, round_store, mp_solver
                 )
                 status.solved.append(db_id)
-                self.metrics.inc(names.PIPELINE_DATABASES_SOLVED)
+                self.metrics.inc("pipeline.databases_solved")
                 record = {
                     "backend": self.config.backend,
                     "positions": int(values[db_id].shape[0]),
@@ -203,7 +203,7 @@ class PipelineRunner:
             except CheckpointCorruptError:
                 # Damaged on disk after a clean write: drop the record
                 # and rebuild rather than trusting (or dying on) it.
-                self.metrics.inc(names.RESILIENCE_CHECKPOINTS_REJECTED)
+                self.metrics.inc("resilience.checkpoints_rejected")
                 del manifest["databases"][key]
                 self._save_manifest(manifest)
                 return None
@@ -277,4 +277,4 @@ class PipelineRunner:
             # Chaos hook: damage the freshly written checkpoint so the
             # next resume exercises CRC detection and rebuild.
             corrupt_file(path)
-            self.metrics.inc(names.FAULTS_CHECKPOINTS_CORRUPTED)
+            self.metrics.inc("faults.checkpoints_corrupted")

@@ -25,6 +25,13 @@ can guard on ``metrics.enabled``.
 Names are dot-separated (``parallel.combining.packets``); ``scoped()``
 returns a view that prefixes every name, so a subsystem can be handed
 ``registry.scoped("simnet")`` and stay ignorant of where it reports.
+
+Every name must be declared in :mod:`repro.obs.catalog`, in the family
+it is used as.  The enabled registry checks a name only when it is new
+to that registry (the dict-miss path, so repeat calls skip the check)
+and raises :class:`ValueError` for an unknown name or a wrong-family
+use (``inc`` on a gauge).  Scoped views and :meth:`merge` check the
+full prefixed name the same way; :data:`NULL_METRICS` checks nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+from .catalog import CATALOG, DYNAMIC
 
 __all__ = [
     "HistogramSummary",
@@ -108,6 +117,26 @@ class NullMetrics:
 #: Shared disabled registry; safe because it holds no state.
 NULL_METRICS = NullMetrics()
 
+_KIND = {entry.name: entry.kind for entry in CATALOG}
+_PREFIXES = {
+    kind: tuple(d.prefix for d in DYNAMIC if kind in d.kinds)
+    for kind in ("counter", "gauge", "histogram", "timer")
+}
+
+
+def _check(name: str, kind: str) -> None:
+    """Raise unless the catalog declares ``name`` as a ``kind``."""
+    declared = _KIND.get(name)
+    if declared == kind:
+        return
+    if declared is not None:
+        raise ValueError(
+            f"metric {name!r} is cataloged as a {declared}, not a {kind}")
+    if not name.startswith(_PREFIXES[kind]):
+        raise ValueError(
+            f"metric {name!r} is not a cataloged {kind} "
+            f"(declare it in repro.obs.catalog)")
+
 
 class MetricsRegistry:
     """Enabled registry; see the module docstring for the families."""
@@ -124,26 +153,36 @@ class MetricsRegistry:
     # --------------------------------------------------------- instruments
 
     def inc(self, name: str, amount=1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+        try:
+            self.counters[name] += amount
+        except KeyError:
+            _check(name, "counter")
+            self.counters[name] = amount
 
     def set_gauge(self, name: str, value) -> None:
+        if name not in self.gauges:
+            _check(name, "gauge")
         self.gauges[name] = float(value)
 
     def observe(self, name: str, value) -> None:
         hist = self.histograms.get(name)
         if hist is None:
+            _check(name, "histogram")
             hist = self.histograms[name] = HistogramSummary()
         hist.add(value)
 
     def observe_seconds(self, name: str, seconds: float) -> None:
         hist = self.timers.get(name)
         if hist is None:
+            _check(name, "timer")
             hist = self.timers[name] = HistogramSummary()
         hist.add(seconds)
 
     @contextmanager
     def phase(self, name: str):
         """Time a block of wall-clock work into the ``timers`` family."""
+        if name not in self.timers:
+            _check(name, "timer")  # before the block runs, not after
         t0 = self._clock()
         try:
             yield
@@ -181,13 +220,14 @@ class MetricsRegistry:
             self.inc(name, amount)
         for name, value in snapshot.get("gauges", {}).items():
             self.set_gauge(name, value)
-        for family, target in (
-            ("histograms", self.histograms),
-            ("timers", self.timers),
+        for family, kind, target in (
+            ("histograms", "histogram", self.histograms),
+            ("timers", "timer", self.timers),
         ):
             for name, summary in snapshot.get(family, {}).items():
                 hist = target.get(name)
                 if hist is None:
+                    _check(name, kind)
                     hist = target[name] = HistogramSummary()
                 if summary["count"]:
                     hist.count += summary["count"]

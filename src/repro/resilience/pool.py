@@ -28,7 +28,7 @@ from concurrent.futures import as_completed, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from ..obs import NULL_METRICS, names
+from ..obs import NULL_METRICS
 from .retry import backoff_delay
 
 __all__ = ["RetryPolicy", "PoolFailedError", "SupervisedPool"]
@@ -148,14 +148,14 @@ class SupervisedPool:
                 continue  # stays pending; re-submitted next round
             results[i] = result
             pending.discard(i)
-            self.metrics.inc(names.RESILIENCE_TASKS_COMPLETED)
+            self.metrics.inc("resilience.tasks_completed")
             if on_result is not None:
                 on_result(i, result)
 
     def _record_failure(self, i, failures, exc) -> None:
         failures[i] += 1
-        self.metrics.inc(names.RESILIENCE_TASK_FAILURES)
-        self.metrics.inc(names.RESILIENCE_RETRIES)
+        self.metrics.inc("resilience.task_failures")
+        self.metrics.inc("resilience.retries")
         if failures[i] > self.policy.max_task_retries:
             raise PoolFailedError(
                 f"task {i} failed {failures[i]} times "
@@ -172,9 +172,9 @@ class SupervisedPool:
                 f"(max_pool_rebuilds={self.policy.max_pool_rebuilds}); "
                 f"{n_pending} tasks incomplete"
             )
-        self.metrics.inc(names.RESILIENCE_POOL_REBUILDS)
-        self.metrics.inc(names.RESILIENCE_TASKS_REPLAYED, n_pending)
-        self.metrics.inc(names.RESILIENCE_RETRIES, n_pending)
+        self.metrics.inc("resilience.pool_rebuilds")
+        self.metrics.inc("resilience.tasks_replayed", n_pending)
+        self.metrics.inc("resilience.retries", n_pending)
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)

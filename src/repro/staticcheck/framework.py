@@ -2,8 +2,7 @@
 
 ``repro.staticcheck`` exists because the repo's correctness story rests
 on conventions — atomic checkpoint writes, fork-safe pool workers,
-cataloged metric names, accounted exception handling, documented CLI
-flags — that a month-long parallel solve cannot afford to have silently
+accounted exception handling, documented CLI flags — that a month-long parallel solve cannot afford to have silently
 broken.  Each convention is a :class:`Checker` subclass registered under
 a stable rule id (``RA001``…); the framework parses every file once,
 hands the AST to each applicable checker, and filters the findings
@@ -12,7 +11,7 @@ through per-line suppression comments.
 Suppression syntax (see docs/STATICCHECK.md)::
 
     risky_call()  # staticcheck: disable=RA001 -- why this one is safe
-    # staticcheck: disable-file=RA003 -- whole-file opt-out, same shape
+    # staticcheck: disable-file=RA006 -- whole-file opt-out, same shape
 
 A suppression **must** carry a justification after ``--`` (or an em
 dash); one that doesn't — or that names an unknown rule — is itself
@@ -81,16 +80,6 @@ class Project:
     root: Path
     _docs: dict = field(default_factory=dict)
 
-    def read_doc(self, relpath: str) -> str | None:
-        """Cached text of a doc file under the root, None if absent."""
-        if relpath not in self._docs:
-            path = self.root / relpath
-            try:
-                self._docs[relpath] = path.read_text()
-            except OSError:
-                self._docs[relpath] = None
-        return self._docs[relpath]
-
     def flag_documentation(self) -> str:
         """Concatenated README + docs/*.md, the corpus RA005 checks
         CLI flags against."""
@@ -140,11 +129,6 @@ class Checker:
         """Yield ``(line, col, message)`` tuples for one file."""
         return ()
 
-    def finalize(self, project: Project):
-        """Optional project-level pass after all files; yields
-        ``(relpath, line, message)`` tuples (e.g. doc drift)."""
-        return ()
-
 
 _REGISTRY: dict[str, type] = {}
 
@@ -167,7 +151,6 @@ def all_checkers() -> dict:
     from . import rules_exceptions  # noqa: F401
     from . import rules_forksafe  # noqa: F401
     from . import rules_locks  # noqa: F401
-    from . import rules_metrics  # noqa: F401
     from . import rules_sockets  # noqa: F401
 
     return dict(sorted(_REGISTRY.items()))
@@ -346,11 +329,6 @@ def run_paths(paths, root=None, rules=None,
         report.findings.extend(sub.findings)
         report.suppressed.extend(sub.suppressed)
         report.files_scanned += 1
-    for checker in checkers.values():
-        for relpath, line, message in checker.finalize(project):
-            report.findings.append(
-                Finding(checker.rule_id, relpath, line, 0, message)
-            )
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     report.suppressed.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report

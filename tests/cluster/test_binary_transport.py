@@ -14,7 +14,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultPlan
 from repro.serve.client import ProbeError
-from repro.staticcheck.catalog import CATALOG, DYNAMIC
+from repro.obs.catalog import CATALOG, DYNAMIC
 
 from .conftest import FAST_POLICY, LocalCluster, cluster_dir, solved_set
 

@@ -63,12 +63,13 @@ class TestCodecClusterIdentity:
             )
 
     def test_best_moves_match_oracle(self, codec_cluster):
-        from repro.db.query import best_moves
+        from repro.db.query import best_moves, evaluate_moves
 
         codec, game, dbs, local = codec_cluster
         indexer = game.engine.indexer(max(dbs.ids()))
         rng = np.random.default_rng(37)
-        with local.router() as router:
+        registry = MetricsRegistry()
+        with local.router(metrics=registry) as router:
             for idx in rng.integers(0, indexer.count, size=5):
                 board = indexer.unrank(np.array([int(idx)]))[0]
                 want_value, want_moves = best_moves(game, dbs, board)
@@ -77,6 +78,9 @@ class TestCodecClusterIdentity:
                 assert [m.pit for m in got_moves] == [
                     m.pit for m in want_moves
                 ], f"{codec} idx {idx}"
+            assert [(e.pit, e.value) for e in router.evaluate_moves(board)] \
+                == [(e.pit, e.value) for e in evaluate_moves(game, dbs, board)]
+        assert registry.counters["cluster.best_move_queries"] == 6
 
     def test_failover_stays_bit_identical(self, codec_cluster):
         """Kill shard 0's primary mid-session: the replica answers the

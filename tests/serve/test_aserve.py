@@ -16,6 +16,7 @@ from repro.aserve.client import BinaryProbeClient
 from repro.aserve.local import LocalProbeClient
 from repro.aserve.server import AsyncProbeServer
 from repro.db.query import best_moves
+from repro.obs import MetricsRegistry
 from repro.serve.client import ProbeError
 from repro.serve.pagedstore import write_paged
 from repro.serve.service import ProbeService
@@ -206,7 +207,10 @@ class TestLocalMmap:
     def test_shuffled_batch_and_array_path(self, local_store):
         name, game, dbs, codec, path = local_store
         pairs = all_positions(dbs, seed=43)
-        with LocalProbeClient(path) as client:
+        registry = MetricsRegistry()
+        with LocalProbeClient(
+            path, metrics=registry.scoped("aserve.local")
+        ) as client:
             np.testing.assert_array_equal(
                 client.probe_many(pairs), oracle_values(dbs, pairs),
                 err_msg=f"{name}/{codec}",
@@ -216,6 +220,10 @@ class TestLocalMmap:
             np.testing.assert_array_equal(
                 client.probe_array(db_id, idx), dbs[db_id][idx]
             )
+            assert client.probe(db_id, 0) == int(dbs[db_id][0])
+        assert registry.counters["aserve.local.batches"] == 2
+        assert registry.counters["aserve.local.probes"] == \
+            len(pairs) + len(idx) + 1
 
     def test_metadata_and_errors(self, local_store):
         name, game, dbs, codec, path = local_store
@@ -243,8 +251,6 @@ class TestLocalMmap:
     def test_fast_path_mode_per_codec(self, local_store):
         """raw maps zero-copy, packed bulk-unpacks once, the zlib-family
         codecs fall back to the block cache with a counted reason."""
-        from repro.obs import MetricsRegistry
-
         name, game, dbs, codec, path = local_store
         registry = MetricsRegistry()
         with LocalProbeClient(
@@ -276,7 +282,10 @@ class TestLocalMmap:
             pytest.skip("synthetic game is not board-based")
         indexer = game.engine.indexer(max(dbs.ids()))
         rng = np.random.default_rng(47)
-        with LocalProbeClient(path) as client:
+        registry = MetricsRegistry()
+        with LocalProbeClient(
+            path, metrics=registry.scoped("aserve.local")
+        ) as client:
             for idx in rng.integers(0, indexer.count, size=6):
                 board = indexer.unrank(np.array([int(idx)]))[0]
                 want_value, want_moves = best_moves(game, dbs, board)
@@ -285,6 +294,7 @@ class TestLocalMmap:
                 assert [m.pit for m in got_moves] == [
                     m.pit for m in want_moves
                 ], f"{name}/{codec} idx {idx}"
+        assert registry.counters["aserve.local.best_move_queries"] == 6
 
 
 class TestConnectHelper:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.aserve.client import BinaryProbeClient
 from repro.aserve.server import AsyncProbeServer
+from repro.obs import MetricsRegistry
 from repro.serve.cache import BlockCache
 from repro.serve.service import ProbeService, split_positions
 
@@ -50,7 +51,8 @@ class TestBlockCacheUnderContention:
 
     def test_exact_accounting_under_hammering(self):
         budget = 2 * self.BLOCK_BYTES  # two resident blocks + slack
-        cache = BlockCache(budget)
+        registry = MetricsRegistry()
+        cache = BlockCache(budget, metrics=registry.scoped("serve.cache"))
 
         def loader():
             # Give up the GIL under the cache lock, as a real loader's
@@ -88,6 +90,8 @@ class TestBlockCacheUnderContention:
         # Heavy cross-thread traffic must have contended the lock at
         # least once (the gauge is how operators see serialization).
         assert cache.lock_contended > 0
+        assert registry.counters["serve.cache.lock_contended"] == \
+            cache.lock_contended
 
     def test_stats_snapshots_stay_consistent_mid_flight(self):
         """A reader thread sees internally consistent snapshots while

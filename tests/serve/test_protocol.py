@@ -403,3 +403,27 @@ class TestDropUnderPipelining:
             server.shutdown()
             service.close()
         assert registry.counters["aserve.server.faults.connections_dropped"] >= 1
+
+    def test_blackholed_request_ends_at_the_client_timeout(
+            self, awari_solved):
+        """``blackhole:after=1``: the first request is answered, the
+        second is read and never answered, so only the client's timeout
+        ends it — and the server counts the swallowed request."""
+        game, dbs = awari_solved
+        registry = MetricsRegistry()
+        service, server = self._faulted_server(
+            dbs, registry, "blackhole:after=1"
+        )
+        try:
+            with BinaryProbeClient(
+                server.host, server.port, timeout=0.2,
+                policy=ReconnectPolicy(connect_attempts=1,
+                                       request_replays=0),
+            ) as client:
+                assert client.probe(5, 0) == int(dbs[5][0])
+                with pytest.raises(ProbeTransportError):
+                    client.probe(5, 1)
+        finally:
+            server.shutdown()
+            service.close()
+        assert registry.counters["aserve.server.faults.requests_blackholed"] == 1

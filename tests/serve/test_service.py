@@ -314,9 +314,11 @@ class TestBestMoves:
         """Serving best-move answers equal the in-memory query path on a
         sample of boards (shared successor resolution + shared logic)."""
         game, dbs = awari_solved
+        registries = {kind: MetricsRegistry() for kind in ("memory", "paged")}
         services = {
-            kind: make_service(kind, dbs, awari_paged_path)
-            for kind in ("memory", "paged")
+            kind: make_service(kind, dbs, awari_paged_path,
+                               metrics=registry.scoped("serve"))
+            for kind, registry in registries.items()
         }
         indexer = game.engine.indexer(5)
         rng = np.random.default_rng(2)
@@ -331,6 +333,8 @@ class TestBestMoves:
                 ], kind
         for service in services.values():
             service.close()
+        for kind, registry in registries.items():
+            assert registry.counters["serve.best_move_queries"] == 25, kind
 
     def test_game_reconstructed_from_metadata(
         self, awari_solved, awari_paged_path
@@ -357,11 +361,14 @@ class TestBestMoves:
         """The paged path reports no depths (not served), the memory path
         keeps whatever the DatabaseSet holds."""
         game, dbs = awari_solved
-        service = make_service("paged", dbs, awari_paged_path)
+        registry = MetricsRegistry()
+        service = make_service("paged", dbs, awari_paged_path,
+                               metrics=registry.scoped("serve"))
         board = np.array([0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0], dtype=np.int16)
         for ev in service.evaluate_moves(board):
             assert ev.successor_depth in (None, 0)
         service.close()
+        assert registry.counters["serve.best_move_queries"] == 1
 
 
 class TestSearchIntegration:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.simnet.rts import Actor, SPMDRuntime
 from repro.simnet.trace import Tracer
 
@@ -23,10 +24,10 @@ class Chain(Actor):
                 ctx.broadcast("DONE", size_bytes=16)
 
 
-def run_traced(n=4, max_events=10_000):
+def run_traced(n=4, max_events=10_000, metrics=NULL_METRICS):
     actors = [Chain() for _ in range(n)]
     rt = SPMDRuntime(actors)
-    tracer = Tracer(max_events=max_events).attach(rt)
+    tracer = Tracer(max_events=max_events, metrics=metrics).attach(rt)
     rt.run()
     return tracer
 
@@ -53,6 +54,15 @@ class TestTracer:
     def test_tag_counts(self):
         tracer = run_traced()
         assert tracer.tag_counts == {"HOP": 3, "DONE": 1}
+
+    def test_counts_mirrored_into_registry(self):
+        registry = MetricsRegistry()
+        run_traced(metrics=registry)
+        # The broadcast DONE is one send and three deliveries.
+        assert registry.counters == {
+            "trace.send.HOP": 3, "trace.deliver.HOP": 3,
+            "trace.send.DONE": 1, "trace.deliver.DONE": 3,
+        }
 
     def test_event_cap(self):
         tracer = run_traced(max_events=2)

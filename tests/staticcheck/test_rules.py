@@ -18,7 +18,6 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SEEDED = (
     "ra001_writes.py",
     "ra002_forksafe.py",
-    "ra003_metrics.py",
     "ra004_excepts.py",
     "ra005_cli.py",
     "ra006_sockets.py",
@@ -49,14 +48,6 @@ class TestSeededViolations:
             ("RA002", 16),  # bound method via .submit
             ("RA002", 17),  # module fn reading a Lock() global
             ("RA002", 25),  # nested function
-        ]
-
-    def test_ra003_uncataloged_metric_names(self):
-        assert _findings("ra003_metrics.py", ["RA003"]) == [
-            ("RA003", 5),  # misspelled literal
-            ("RA003", 6),  # unknown scoped literal
-            ("RA003", 7),  # undeclared dynamic family
-            ("RA003", 9),  # unresolvable variable
         ]
 
     def test_ra004_swallowed_exceptions(self):
@@ -120,10 +111,6 @@ class TestSeededViolations:
             ("RA002", "ra002_forksafe.py", 16),
             ("RA002", "ra002_forksafe.py", 17),
             ("RA002", "ra002_forksafe.py", 25),
-            ("RA003", "ra003_metrics.py", 5),
-            ("RA003", "ra003_metrics.py", 6),
-            ("RA003", "ra003_metrics.py", 7),
-            ("RA003", "ra003_metrics.py", 9),
             ("RA004", "ra004_excepts.py", 7),
             ("RA004", "ra004_excepts.py", 14),
             ("RA005", "ra005_cli.py", 7),
