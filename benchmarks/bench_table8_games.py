@@ -31,7 +31,7 @@ def _run(bench):
     kalah = KalahCaptureGame()
     seq, _ = SequentialSolver(kalah).solve(KALAH_STONES)
     lower = {n: seq[n] for n in range(KALAH_STONES)}
-    cfg = ParallelConfig(n_procs=PROCS, predecessor_mode="unmove-cached")
+    cfg = ParallelConfig(n_procs=PROCS)
     values, kalah_stats = ParallelSolver(kalah, cfg).solve_database(
         KALAH_STONES, lower, max_events=50_000_000
     )
@@ -40,9 +40,7 @@ def _run(bench):
     # nim through the WDL adapter.
     nim = NimGame(heaps=4, cap=7)
     status, nim_stats = solve_wdl_parallel(
-        nim,
-        ParallelConfig(n_procs=PROCS, predecessor_mode="unmove"),
-        max_events=50_000_000,
+        nim, ParallelConfig(n_procs=PROCS), max_events=50_000_000
     )
     np.testing.assert_array_equal(status, solve_wdl(nim).status)
     rows.append((nim.name, nim_stats, None))

@@ -67,7 +67,7 @@ class Workbench:
         if key not in self._runs:
             values, _ = self.sequential(stones)
             lower = {n: values[n] for n in range(stones)}
-            cfg = ParallelConfig(predecessor_mode="unmove-cached", **kwargs)
+            cfg = ParallelConfig(**kwargs)
             out, stats = ParallelSolver(self.game, cfg).solve_database(
                 stones, lower, max_events=50_000_000
             )

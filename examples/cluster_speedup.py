@@ -31,11 +31,7 @@ def main() -> None:
     for procs in (1, 2, 4, 8, 16, 32):
         row = []
         for capacity in (256, 1):
-            cfg = ParallelConfig(
-                n_procs=procs,
-                combining_capacity=capacity,
-                predecessor_mode="unmove-cached",
-            )
+            cfg = ParallelConfig(n_procs=procs, combining_capacity=capacity)
             values, stats = ParallelSolver(game, cfg).solve_database(STONES, lower)
             assert (values == seq_values[STONES]).all()
             row.append(stats.makespan_seconds)

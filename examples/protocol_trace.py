@@ -11,7 +11,7 @@ Run:  python examples/protocol_trace.py
 
 from repro.core.graph import build_database_graph
 from repro.core.parallel.driver import ParallelConfig
-from repro.core.parallel.worker import RAWorker, WorkerConfig
+from repro.core.parallel.worker import RAWorker
 from repro.core.partition import make_partition
 from repro.core.sequential import SequentialSolver
 from repro.games.awari_db import AwariCaptureGame
@@ -27,11 +27,8 @@ def main() -> None:
     values, _ = SequentialSolver(game).solve(STONES - 1)
     graph = build_database_graph(game, STONES, values)
     partition = make_partition("cyclic", graph.size, PROCS)
-    cfg = WorkerConfig(predecessor_mode="unmove-cached", combining_capacity=64)
-    workers = [
-        RAWorker(r, game, STONES, graph, partition, STONES, cfg)
-        for r in range(PROCS)
-    ]
+    cfg = ParallelConfig(combining_capacity=64)
+    workers = [RAWorker(r, graph, partition, STONES, cfg) for r in range(PROCS)]
     runtime = SPMDRuntime(workers, costs=cfg.costs)
     tracer = Tracer().attach(runtime)
     makespan = runtime.run()

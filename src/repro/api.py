@@ -48,7 +48,7 @@ def solve_awari(
     if with_depth:
         raise ValueError("with_depth requires the sequential solver (procs=1)")
     if config is None:
-        config = ParallelConfig(n_procs=procs, predecessor_mode="unmove-cached")
+        config = ParallelConfig(n_procs=procs)
     values, stats = ParallelSolver(game, config, metrics=metrics).solve(stones)
     return _dbset(game, values), stats
 

@@ -219,14 +219,16 @@ class AsyncProbeClient:
                 self._writer.write(frames.pack_frame(build(seq)))
                 await self._writer.drain()
                 return await asyncio.wait_for(future, self.timeout)
-            except (ConnectionError, OSError) as exc:
-                raise ProbeTransportError(
-                    f"send to {self.host}:{self.port} failed: {exc}"
-                ) from exc
             except asyncio.TimeoutError as exc:
+                # First: since Python 3.11 this is the builtin TimeoutError,
+                # an OSError subclass the next clause would swallow.
                 raise ProbeTransportError(
                     f"request to {self.host}:{self.port} timed out "
                     f"after {self.timeout}s"
+                ) from exc
+            except (ConnectionError, OSError) as exc:
+                raise ProbeTransportError(
+                    f"send to {self.host}:{self.port} failed: {exc}"
                 ) from exc
             finally:
                 self._pending.pop(seq, None)

@@ -59,8 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="combining buffer capacity in updates (1 = off)")
     solve.add_argument("--partition", default="cyclic",
                        choices=["block", "cyclic", "hash"])
-    solve.add_argument("--mode", default="unmove-cached",
-                       choices=["unmove", "unmove-cached", "csr"])
+    solve.add_argument("--mode", default="unmove", choices=["unmove", "csr"],
+                       help="how the simulated cluster finds parents: charge "
+                            "run-time un-moving or an up-front edge exchange "
+                            "(only with --procs > 1)")
     solve.add_argument("--out", default=None, help="save archive here (.npz)")
     solve.add_argument(
         "--metrics-out",

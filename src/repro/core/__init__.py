@@ -8,7 +8,7 @@ from .multiproc import MultiprocessSolver
 from .oracle import oracle_capture_db, oracle_capture_solve, oracle_wdl
 from .pipeline import PipelineConfig, PipelineRunner, PipelineStatus
 from .parallel.driver import DatabaseRunStats, ParallelConfig, ParallelSolver
-from .parallel.worker import RAWorker, WorkerConfig
+from .parallel.worker import RAWorker
 from .partition import (
     BlockPartition,
     CyclicPartition,
@@ -44,7 +44,6 @@ __all__ = [
     "ParallelSolver",
     "DatabaseRunStats",
     "RAWorker",
-    "WorkerConfig",
     "Partition",
     "BlockPartition",
     "CyclicPartition",

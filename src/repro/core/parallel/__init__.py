@@ -1,14 +1,13 @@
 """The paper's contribution: distributed RA on the simulated cluster."""
 
 from .driver import DatabaseRunStats, ParallelConfig, ParallelSolver
-from .worker import KIND_DEC, KIND_WIN, RAWorker, WorkerConfig, pack_kind, unpack_kind
+from .worker import KIND_DEC, KIND_WIN, RAWorker, pack_kind, unpack_kind
 
 __all__ = [
     "ParallelConfig",
     "ParallelSolver",
     "DatabaseRunStats",
     "RAWorker",
-    "WorkerConfig",
     "KIND_DEC",
     "KIND_WIN",
     "pack_kind",

@@ -22,27 +22,38 @@ from ...simnet.rts import SPMDRuntime
 from ..graph import build_database_graph
 from ..partition import make_partition
 from ..values import exit_values
-from .worker import RAWorker, WorkerConfig
+from .worker import RAWorker
 
 __all__ = ["ParallelConfig", "DatabaseRunStats", "ParallelSolver"]
 
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Cluster and algorithm knobs for a parallel solve."""
+    """Cluster and algorithm knobs for a parallel solve; every worker
+    reads the same instance."""
 
     n_procs: int = 8
     combining_capacity: int = 256
     partition: str = "cyclic"
-    predecessor_mode: str = "unmove"  # "unmove" | "unmove-cached" | "csr"
+    #: What a simulated node is charged for finding parents: run-time
+    #: un-moving (``unmove``) or an up-front edge exchange (``csr``).
+    predecessor_mode: str = "unmove"
     work_batch: int = 1024
     scan_batch: int = 4096
+    #: How long a worker lingers before force-flushing partial buffers.
+    #: While remote updates keep arriving faster than this, buffers only
+    #: leave when full — the behaviour that makes combining effective.
     flush_linger: float = 5e-3
+    #: Coordinator pause between termination-detection rounds.
     token_interval: float = 50e-3
     costs: CostModel = DEFAULT_COSTS
     ethernet: EthernetConfig = field(default_factory=EthernetConfig)
     #: Optional per-node slowdown factors (heterogeneous pool ablation).
     node_speeds: tuple | None = None
+
+    def __post_init__(self):
+        if self.predecessor_mode not in ("unmove", "csr"):
+            raise ValueError(f"unknown predecessor_mode {self.predecessor_mode!r}")
 
 
 @dataclass
@@ -111,26 +122,8 @@ class ParallelSolver:
         partition = make_partition(cfg.partition, graph.size, cfg.n_procs)
         bound = self.game.value_bound(db_id)
         lower_bytes = sum(int(v.shape[0]) for v in lower_values.values())
-        worker_cfg = WorkerConfig(
-            combining_capacity=cfg.combining_capacity,
-            work_batch=cfg.work_batch,
-            scan_batch=cfg.scan_batch,
-            predecessor_mode=cfg.predecessor_mode,
-            flush_linger=cfg.flush_linger,
-            token_interval=cfg.token_interval,
-            costs=cfg.costs,
-        )
         workers = [
-            RAWorker(
-                rank=r,
-                game=self.game,
-                db_id=db_id,
-                graph=graph,
-                partition=partition,
-                bound=bound,
-                config=worker_cfg,
-                lower_values_bytes=lower_bytes,
-            )
+            RAWorker(r, graph, partition, bound, cfg, lower_values_bytes=lower_bytes)
             for r in range(cfg.n_procs)
         ]
         runtime = SPMDRuntime(

@@ -11,7 +11,8 @@ the paper's algorithm:
    from the exits and then propagated in a *single* asynchronous pass —
    exactly as the original single-pass algorithm carried position values
    in its update messages.  Finalizing an owned position generates its
-   predecessors (by un-moving); updates to local parents apply directly,
+   predecessors (charged as un-moving in ``unmove`` mode, read from the
+   routing table on the host); updates to local parents apply directly,
    remote ones are routed through the **message-combining buffers**.
    Partial buffers are force-flushed only after a short idle linger, so
    combining survives the lulls between dependency waves.
@@ -32,11 +33,10 @@ Python one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...simnet.costs import CostModel
 from ...simnet.rts import Actor, Context, Message
 from ..combining import CombiningBuffers
 from ..graph import DatabaseGraph
@@ -45,7 +45,10 @@ from ..partition import Partition
 from ..termination import SafraState, Token
 from ..values import LOSS, status_values
 
-__all__ = ["WorkerConfig", "RAWorker", "KIND_DEC", "KIND_WIN", "pack_kind", "unpack_kind"]
+if TYPE_CHECKING:
+    from .driver import ParallelConfig
+
+__all__ = ["RAWorker", "KIND_DEC", "KIND_WIN", "pack_kind", "unpack_kind"]
 
 #: Update kinds carried in packets.
 KIND_DEC = 0  # child became WIN: decrement the parent's counter
@@ -77,46 +80,25 @@ def unpack_kind(packed: np.ndarray):
     return packed >> np.uint8(1), packed & np.uint8(1)
 
 
-@dataclass
-class WorkerConfig:
-    """Per-run knobs shared by all workers."""
-
-    combining_capacity: int = 256
-    work_batch: int = 1024
-    scan_batch: int = 4096
-    predecessor_mode: str = "unmove"  # "unmove" | "unmove-cached" | "csr"
-    #: How long a worker lingers before force-flushing partial buffers.
-    #: While remote updates keep arriving faster than this, buffers only
-    #: leave when full — the behaviour that makes combining effective.
-    flush_linger: float = 5e-3
-    #: Coordinator pause between termination-detection rounds.
-    token_interval: float = 50e-3
-    costs: CostModel = field(default_factory=CostModel)
-
-    def __post_init__(self):
-        if self.predecessor_mode not in ("unmove", "unmove-cached", "csr"):
-            raise ValueError(
-                f"unknown predecessor_mode {self.predecessor_mode!r}"
-            )
-
-
 class RAWorker(Actor):
-    """One SPMD worker; see the module docstring for the protocol."""
+    """One SPMD worker; see the module docstring for the protocol.
+
+    ``predecessor_mode`` changes only what the simulated node is charged
+    for: ``unmove`` pays run-time un-moving per parent, ``csr`` pays the
+    up-front edge exchange and a cheap lookup per parent.  On the host
+    both read the parents from one routing table built from the reverse
+    graph, which the tests check edge for edge against un-moving."""
 
     def __init__(
         self,
         rank: int,
-        game,
-        db_id,
         graph: DatabaseGraph,
         partition: Partition,
         bound: int,
-        config: WorkerConfig,
+        config: ParallelConfig,
         lower_values_bytes: int = 0,
     ):
         self.rank = rank
-        self.game = game
-        self.db_id = db_id
         self.graph = graph
         self.partition = partition
         self.bound = bound
@@ -135,10 +117,8 @@ class RAWorker(Actor):
 
         #: Frontier of freshly finalized (threshold, [local slot, ...]) batches.
         self.frontier: deque = deque()
-        #: Cached modes: every owned slot's parents as (owner, slot on owner).
-        self._routes = (
-            None if config.predecessor_mode == "unmove" else self._routing_table()
-        )
+        #: Every owned slot's parents as (owner, slot on owner).
+        self._routes = self._routing_table()
         self.buffers = CombiningBuffers(self.size, config.combining_capacity)
         self.safra = SafraState(rank, self.size)
 
@@ -367,8 +347,8 @@ class RAWorker(Actor):
         """``(ptr, owners, slots)``: the parents of owned slot ``i`` are
         entries ``ptr[i]:ptr[i + 1]`` of two flat lists, their owners and
         their slots on those owners, read once from the host-side
-        transposed graph.  In ``unmove-cached`` mode the *charges* still
-        model run-time un-moving."""
+        transposed graph.  It stands in for the node's predecessor
+        generator in every mode; the charges say which one it models."""
         reverse = self.graph.reverse
         _, parents = reverse.neighbors_of(self.own_global)
         degree = reverse.indptr[self.own_global + 1] - reverse.indptr[self.own_global]
@@ -383,16 +363,6 @@ class RAWorker(Actor):
         indices) as three lists: the parent's owner, its slot there, and
         whether the child is a LOSS (so the parent wins)."""
         status = self._flat_state[0]
-        if self._routes is None:
-            child_row, parents = self.game.predecessors_internal(
-                self.db_id, self.own_global[slots]
-            )
-            loss = status[np.add(slots, base)] == LOSS
-            return (
-                self.partition.owner_of(parents).tolist(),
-                self.partition.to_local(parents).tolist(),
-                loss[child_row].tolist(),
-            )
         ptr, all_owners, all_slots = self._routes
         owners, parent_slots, wins = [], [], []
         for slot in slots:

@@ -107,9 +107,7 @@ class TestHeterogeneousCluster:
         game = AwariCaptureGame()
         seq, _ = SequentialSolver(game).solve(5)
         speeds = tuple(1.0 + 0.5 * (r % 3) for r in range(6))
-        cfg = ParallelConfig(
-            n_procs=6, predecessor_mode="unmove-cached", node_speeds=speeds
-        )
+        cfg = ParallelConfig(n_procs=6, node_speeds=speeds)
         par, stats = ParallelSolver(game, cfg).solve(5, max_events=5_000_000)
         for n in range(6):
             np.testing.assert_array_equal(par[n], seq[n])
@@ -120,11 +118,7 @@ class TestHeterogeneousCluster:
         lower = {n: seq[n] for n in range(5)}
 
         def run(speeds):
-            cfg = ParallelConfig(
-                n_procs=4,
-                predecessor_mode="unmove-cached",
-                node_speeds=speeds,
-            )
+            cfg = ParallelConfig(n_procs=4, node_speeds=speeds)
             _, stats = ParallelSolver(game, cfg).solve_database(
                 5, lower, max_events=5_000_000
             )

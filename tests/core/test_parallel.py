@@ -49,19 +49,17 @@ class TestPackedKinds:
 class TestEquivalence:
     @pytest.mark.parametrize("procs", [1, 2, 3, 8])
     def test_processor_counts(self, game, sequential, procs):
-        cfg = ParallelConfig(n_procs=procs, predecessor_mode="unmove-cached")
+        cfg = ParallelConfig(n_procs=procs)
         values, _ = ParallelSolver(game, cfg).solve(6, max_events=MAX_EVENTS)
         assert_matches(values, sequential, 6)
 
     @pytest.mark.parametrize("partition", ["block", "cyclic", "hash"])
     def test_partitions(self, game, sequential, partition):
-        cfg = ParallelConfig(
-            n_procs=5, partition=partition, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=5, partition=partition)
         values, _ = ParallelSolver(game, cfg).solve(6, max_events=MAX_EVENTS)
         assert_matches(values, sequential, 6)
 
-    @pytest.mark.parametrize("mode", ["unmove", "unmove-cached", "csr"])
+    @pytest.mark.parametrize("mode", ["unmove", "csr"])
     def test_predecessor_modes(self, game, sequential, mode):
         cfg = ParallelConfig(n_procs=4, predecessor_mode=mode)
         values, _ = ParallelSolver(game, cfg).solve(5, max_events=MAX_EVENTS)
@@ -69,11 +67,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("capacity", [1, 2, 16, 4096])
     def test_combining_capacities(self, game, sequential, capacity):
-        cfg = ParallelConfig(
-            n_procs=4,
-            combining_capacity=capacity,
-            predecessor_mode="unmove-cached",
-        )
+        cfg = ParallelConfig(n_procs=4, combining_capacity=capacity)
         values, _ = ParallelSolver(game, cfg).solve(5, max_events=MAX_EVENTS)
         assert_matches(values, sequential, 5)
 
@@ -83,7 +77,6 @@ class TestEquivalence:
         for cpu, msg in [(0.1, 10.0), (10.0, 0.1)]:
             cfg = ParallelConfig(
                 n_procs=4,
-                predecessor_mode="unmove-cached",
                 costs=CostModel().scaled(cpu_factor=cpu, msg_factor=msg),
                 ethernet=EthernetConfig(bandwidth_bps=1e6),
             )
@@ -92,9 +85,7 @@ class TestEquivalence:
 
     def test_work_batch_independence(self, game, sequential):
         for batch in (7, 100000):
-            cfg = ParallelConfig(
-                n_procs=3, work_batch=batch, predecessor_mode="unmove-cached"
-            )
+            cfg = ParallelConfig(n_procs=3, work_batch=batch)
             values, _ = ParallelSolver(game, cfg).solve(5, max_events=MAX_EVENTS)
             assert_matches(values, sequential, 5)
 
@@ -103,14 +94,14 @@ class TestEquivalence:
 
         g = AwariCaptureGame(AwariRules(grand_slam=GrandSlam.ALLOWED))
         seq, _ = SequentialSolver(g).solve(5)
-        cfg = ParallelConfig(n_procs=4, predecessor_mode="unmove-cached")
+        cfg = ParallelConfig(n_procs=4)
         par, _ = ParallelSolver(g, cfg).solve(5, max_events=MAX_EVENTS)
         assert_matches(par, seq, 5)
 
 
 class TestDeterminism:
     def test_repeat_runs_bit_identical_stats(self, game):
-        cfg = ParallelConfig(n_procs=4, predecessor_mode="unmove-cached")
+        cfg = ParallelConfig(n_procs=4)
         v1, s1 = ParallelSolver(game, cfg).solve(5, max_events=MAX_EVENTS)
         v2, s2 = ParallelSolver(game, cfg).solve(5, max_events=MAX_EVENTS)
         assert_matches(v1, v2, 5)
@@ -123,9 +114,7 @@ class TestDeterminism:
 class TestRunStats:
     @pytest.fixture(scope="class")
     def run(self, game):
-        cfg = ParallelConfig(
-            n_procs=4, predecessor_mode="unmove-cached", combining_capacity=32
-        )
+        cfg = ParallelConfig(n_procs=4, combining_capacity=32)
         seq, _ = SequentialSolver(game).solve(6)
         lower = {n: seq[n] for n in range(6)}
         values, stats = ParallelSolver(game, cfg).solve_database(
@@ -142,17 +131,15 @@ class TestRunStats:
         exactly one packet, and every shipped update is applied remotely
         (buffers fully drain before termination)."""
         from repro.core.graph import build_database_graph
-        from repro.core.parallel.worker import RAWorker, WorkerConfig
+        from repro.core.parallel.worker import RAWorker
         from repro.core.partition import make_partition
         from repro.simnet.rts import SPMDRuntime
 
         seq, _ = SequentialSolver(game).solve(5)
         graph = build_database_graph(game, 5, {n: seq[n] for n in range(5)})
         partition = make_partition("cyclic", graph.size, 4)
-        cfg = WorkerConfig(predecessor_mode="unmove-cached", combining_capacity=16)
-        workers = [
-            RAWorker(r, game, 5, graph, partition, 5, cfg) for r in range(4)
-        ]
+        cfg = ParallelConfig(combining_capacity=16)
+        workers = [RAWorker(r, graph, partition, 5, cfg) for r in range(4)]
         runtime = SPMDRuntime(workers, costs=cfg.costs)
         runtime.run(max_events=MAX_EVENTS)
         stats = runtime.node_stats
@@ -202,11 +189,7 @@ class TestCombiningEffect:
         lower = {n: seq[n] for n in range(6)}
         runs = {}
         for cap in (1, 256):
-            cfg = ParallelConfig(
-                n_procs=8,
-                combining_capacity=cap,
-                predecessor_mode="unmove-cached",
-            )
+            cfg = ParallelConfig(n_procs=8, combining_capacity=cap)
             values, stats = ParallelSolver(game, cfg).solve_database(
                 6, lower, max_events=MAX_EVENTS
             )
@@ -221,7 +204,7 @@ class TestCombiningEffect:
         lower = {n: seq[n] for n in range(6)}
         times = []
         for procs in (1, 4, 16):
-            cfg = ParallelConfig(n_procs=procs, predecessor_mode="unmove-cached")
+            cfg = ParallelConfig(n_procs=procs)
             _, stats = ParallelSolver(game, cfg).solve_database(
                 6, lower, max_events=MAX_EVENTS
             )

@@ -194,7 +194,7 @@ class TestBuildRecords:
         cfg = PipelineConfig(
             backend="parallel",
             checkpoint_dir=str(tmp_path),
-            parallel=ParallelConfig(n_procs=2, predecessor_mode="unmove-cached"),
+            parallel=ParallelConfig(n_procs=2),
         )
         PipelineRunner(game, cfg).run(2)
         manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -30,25 +30,15 @@ STONES = 5
 
 #: name → the config the simulated cluster runs awari 0..STONES with.
 CONFIGS = {
-    "p16-unmove-cached": ParallelConfig(
-        n_procs=16, predecessor_mode="unmove-cached"
-    ),
+    "p16-unmove": ParallelConfig(n_procs=16),
     "p4-csr": ParallelConfig(n_procs=4, predecessor_mode="csr"),
-    "p4-capacity1": ParallelConfig(
-        n_procs=4, predecessor_mode="unmove-cached", combining_capacity=1
-    ),
+    "p4-capacity1": ParallelConfig(n_procs=4, combining_capacity=1),
     "p4-unmove": ParallelConfig(n_procs=4),
-    "p5-hash-unmove-cached": ParallelConfig(
-        n_procs=5, partition="hash", predecessor_mode="unmove-cached"
-    ),
+    "p5-hash-unmove": ParallelConfig(n_procs=5, partition="hash"),
     "p3-block-csr": ParallelConfig(
         n_procs=3, partition="block", predecessor_mode="csr"
     ),
-    "p4-speeds": ParallelConfig(
-        n_procs=4,
-        predecessor_mode="unmove-cached",
-        node_speeds=(1.0, 2.0, 1.5, 0.7),
-    ),
+    "p4-speeds": ParallelConfig(n_procs=4, node_speeds=(1.0, 2.0, 1.5, 0.7)),
 }
 
 
@@ -94,7 +84,7 @@ def test_simulation_matches_golden(golden, name):
 
 def test_p16_totals_match_the_benchmark_counts(golden):
     """The pinned P = 16 run is the ``sim-p16`` workload's solve."""
-    dbs = golden["p16-unmove-cached"]
+    dbs = golden["p16-unmove"]
     assert sum(d["events"] for d in dbs) == 48_873
     assert sum(d["packets_sent"] for d in dbs) == 6_898
     assert sum(d["updates_sent"] for d in dbs) == 37_331

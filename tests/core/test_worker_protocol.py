@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.combining import UpdatePacket
-from repro.core.graph import build_database_graph
+from repro.core.graph import CSR, build_database_graph
 from repro.core.parallel.driver import ParallelConfig, ParallelSolver
 from repro.core.parallel.worker import (
     KIND_DEC,
     KIND_WIN,
     RAWorker,
-    WorkerConfig,
     pack_kind,
 )
 from repro.core.partition import CyclicPartition, make_partition
@@ -44,7 +43,7 @@ def seq(game):
 class TestDegenerateShapes:
     def test_more_processors_than_positions(self, game, seq):
         """db 1 has 12 positions; run it on 20 workers (8 own nothing)."""
-        cfg = ParallelConfig(n_procs=20, predecessor_mode="unmove-cached")
+        cfg = ParallelConfig(n_procs=20)
         values, stats = ParallelSolver(game, cfg).solve_database(
             1, {0: seq[0]}, max_events=MAX_EVENTS
         )
@@ -53,7 +52,7 @@ class TestDegenerateShapes:
 
     def test_single_position_database(self, game):
         """db 0: one position, bound 0 — the degenerate fast path."""
-        cfg = ParallelConfig(n_procs=4, predecessor_mode="unmove-cached")
+        cfg = ParallelConfig(n_procs=4)
         values, _ = ParallelSolver(game, cfg).solve_database(
             0, {}, max_events=MAX_EVENTS
         )
@@ -61,18 +60,14 @@ class TestDegenerateShapes:
         assert values[0] == 0
 
     def test_tiny_work_batches(self, game, seq):
-        cfg = ParallelConfig(
-            n_procs=4, work_batch=1, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=4, work_batch=1)
         values, _ = ParallelSolver(game, cfg).solve_database(
             4, {n: seq[n] for n in range(4)}, max_events=MAX_EVENTS
         )
         np.testing.assert_array_equal(values, seq[4])
 
     def test_tiny_scan_batches(self, game, seq):
-        cfg = ParallelConfig(
-            n_procs=3, scan_batch=1, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=3, scan_batch=1)
         values, _ = ParallelSolver(game, cfg).solve_database(
             3, {n: seq[n] for n in range(3)}, max_events=MAX_EVENTS
         )
@@ -81,18 +76,14 @@ class TestDegenerateShapes:
 
 class TestTimersAndTokens:
     def test_zero_linger(self, game, seq):
-        cfg = ParallelConfig(
-            n_procs=4, flush_linger=0.0, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=4, flush_linger=0.0)
         values, _ = ParallelSolver(game, cfg).solve_database(
             4, {n: seq[n] for n in range(4)}, max_events=MAX_EVENTS
         )
         np.testing.assert_array_equal(values, seq[4])
 
     def test_huge_linger_still_terminates(self, game, seq):
-        cfg = ParallelConfig(
-            n_procs=4, flush_linger=10.0, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=4, flush_linger=10.0)
         values, stats = ParallelSolver(game, cfg).solve_database(
             4, {n: seq[n] for n in range(4)}, max_events=MAX_EVENTS
         )
@@ -102,16 +93,12 @@ class TestTimersAndTokens:
     def test_aggressive_token_interval(self, game, seq):
         """Probing for termination every millisecond costs tokens but
         cannot corrupt anything."""
-        cfg = ParallelConfig(
-            n_procs=4, token_interval=1e-3, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=4, token_interval=1e-3)
         values, stats = ParallelSolver(game, cfg).solve_database(
             4, {n: seq[n] for n in range(4)}, max_events=MAX_EVENTS
         )
         np.testing.assert_array_equal(values, seq[4])
-        lazy = ParallelConfig(
-            n_procs=4, token_interval=1.0, predecessor_mode="unmove-cached"
-        )
+        lazy = ParallelConfig(n_procs=4, token_interval=1.0)
         _, lazy_stats = ParallelSolver(game, lazy).solve_database(
             4, {n: seq[n] for n in range(4)}, max_events=MAX_EVENTS
         )
@@ -125,7 +112,6 @@ class TestTimersAndTokens:
 
         cfg = ParallelConfig(
             n_procs=4,
-            predecessor_mode="unmove-cached",
             token_interval=1e-3,  # probe constantly, tempting fate
             ethernet=EthernetConfig(
                 bandwidth_bps=1e4, propagation_delay_s=0.5
@@ -145,8 +131,7 @@ class TestTeardown:
         graph = build_database_graph(game, 3, {n: seq[n] for n in range(3)})
         partition = make_partition("cyclic", graph.size, 4)
         workers = [
-            RAWorker(r, game, 3, graph, partition, 3, WorkerConfig())
-            for r in range(4)
+            RAWorker(r, graph, partition, 3, ParallelConfig()) for r in range(4)
         ]
         runtime = SPMDRuntime(workers)
         gc.disable()
@@ -159,15 +144,13 @@ class TestTeardown:
             gc.enable()
 
 
-class TestWorkerConfigValidation:
+class TestConfigValidation:
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerConfig(predecessor_mode="psychic")
+        with pytest.raises(ValueError, match="unknown predecessor_mode 'psychic'"):
+            ParallelConfig(predecessor_mode="psychic")
 
     def test_combining_capacity_validated_in_buffers(self, game, seq):
-        cfg = ParallelConfig(
-            n_procs=2, combining_capacity=0, predecessor_mode="unmove-cached"
-        )
+        cfg = ParallelConfig(n_procs=2, combining_capacity=0)
         with pytest.raises(ValueError):
             ParallelSolver(game, cfg).solve_database(
                 2, {n: seq[n] for n in range(2)}
@@ -242,9 +225,12 @@ class TestFlatApply:
         graph = SimpleNamespace(
             best_exit=np.asarray(best_exit, dtype=np.int16),
             out_degree=np.zeros(N_SLOTS, dtype=np.int32),
+            reverse=CSR(
+                np.zeros(N_SLOTS + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+            ),
         )
         worker = RAWorker(
-            0, None, None, graph, CyclicPartition(N_SLOTS, 1), BOUND, WorkerConfig()
+            0, graph, CyclicPartition(N_SLOTS, 1), BOUND, ParallelConfig()
         )
         ctx = SimpleNamespace(charge=lambda seconds: None, stats=NodeStats())
         worker._begin_run(ctx)

@@ -17,9 +17,7 @@ PROCS = 4
 
 def _parallel_run(**overrides):
     metrics = MetricsRegistry()
-    config = ParallelConfig(
-        n_procs=PROCS, predecessor_mode="unmove-cached", **overrides
-    )
+    config = ParallelConfig(n_procs=PROCS, **overrides)
     solver = ParallelSolver(AwariCaptureGame(), config, metrics=metrics)
     values, stats = solver.solve(STONES)
     return metrics, values, stats
@@ -98,7 +96,7 @@ class TestParallelInstrumentation:
 
     def test_disabled_metrics_change_nothing(self):
         _, values_on, stats_on = _parallel_run()
-        config = ParallelConfig(n_procs=PROCS, predecessor_mode="unmove-cached")
+        config = ParallelConfig(n_procs=PROCS)
         values_off, stats_off = ParallelSolver(
             AwariCaptureGame(), config
         ).solve(STONES)

@@ -421,7 +421,9 @@ class TestDropUnderPipelining:
                                        request_replays=0),
             ) as client:
                 assert client.probe(5, 0) == int(dbs[5][0])
-                with pytest.raises(ProbeTransportError):
+                with pytest.raises(
+                    ProbeTransportError, match="timed out after 0.2s"
+                ):
                     client.probe(5, 1)
         finally:
             server.shutdown()

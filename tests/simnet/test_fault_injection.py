@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.graph import build_database_graph
-from repro.core.parallel.worker import RAWorker, WorkerConfig
+from repro.core.parallel.driver import ParallelConfig
+from repro.core.parallel.worker import RAWorker
 from repro.core.partition import make_partition
 from repro.core.sequential import SequentialSolver
 from repro.games.awari_db import AwariCaptureGame
@@ -40,10 +41,8 @@ class DroppyEthernet(Ethernet):
 def build_cluster(game, n, procs, lower, ethernet_cls=Ethernet, **eth_kwargs):
     graph = build_database_graph(game, n, lower)
     partition = make_partition("cyclic", graph.size, procs)
-    cfg = WorkerConfig(predecessor_mode="unmove-cached", combining_capacity=16)
-    workers = [
-        RAWorker(r, game, n, graph, partition, n, cfg) for r in range(procs)
-    ]
+    cfg = ParallelConfig(combining_capacity=16)
+    workers = [RAWorker(r, graph, partition, n, cfg) for r in range(procs)]
     runtime = SPMDRuntime(workers, costs=cfg.costs)
     runtime.ethernet = ethernet_cls(runtime.sim, procs, **eth_kwargs)
     runtime.ethernet.attach(runtime._deliver)
@@ -102,11 +101,7 @@ class TestExtremeNetworks:
 
         game, values = setup
         lower = {n: values[n] for n in range(5)}
-        cfg = ParallelConfig(
-            n_procs=3,
-            predecessor_mode="unmove-cached",
-            ethernet=EthernetConfig(**kwargs),
-        )
+        cfg = ParallelConfig(n_procs=3, ethernet=EthernetConfig(**kwargs))
         out, stats = ParallelSolver(game, cfg).solve_database(
             5, lower, max_events=10_000_000
         )

@@ -89,7 +89,8 @@ class TestTracer:
     def test_tracing_does_not_change_results(self):
         """A traced parallel solve must equal an untraced one."""
         from repro.core.graph import build_database_graph
-        from repro.core.parallel.worker import RAWorker, WorkerConfig
+        from repro.core.parallel.driver import ParallelConfig
+        from repro.core.parallel.worker import RAWorker
         from repro.core.partition import make_partition
         from repro.core.sequential import SequentialSolver
         from repro.games.awari_db import AwariCaptureGame
@@ -98,11 +99,11 @@ class TestTracer:
         values, _ = SequentialSolver(game).solve(4)
         graph = build_database_graph(game, 4, {n: values[n] for n in range(4)})
         partition = make_partition("cyclic", graph.size, 3)
-        cfg = WorkerConfig(predecessor_mode="unmove-cached")
+        cfg = ParallelConfig()
 
         def run(traced):
             workers = [
-                RAWorker(r, game, 4, graph, partition, 4, cfg) for r in range(3)
+                RAWorker(r, graph, partition, 4, cfg) for r in range(3)
             ]
             rt = SPMDRuntime(workers, costs=cfg.costs)
             if traced:

@@ -25,6 +25,23 @@ class TestCLI:
         assert "simulated processors" in out
         assert "combining factor" in out
 
+    def test_solve_parallel_mode(self, archive, tmp_path, capsys):
+        """``--mode csr`` reaches the simulated cluster and gives the
+        sequential values; the retired cached mode name is refused."""
+        from repro.db.store import DatabaseSet
+
+        out = tmp_path / "csr.npz"
+        assert main(["solve", "--stones", "4", "--procs", "4",
+                     "--mode", "csr", "--out", str(out)]) == 0
+        seq, par = DatabaseSet.load(archive), DatabaseSet.load(out)
+        for n in range(5):
+            np.testing.assert_array_equal(par[n], seq[n])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--stones", "4", "--procs", "4",
+                  "--mode", "unmove-cached"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_stats(self, archive, capsys):
         assert main(["stats", str(archive)]) == 0
         out = capsys.readouterr().out

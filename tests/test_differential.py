@@ -33,11 +33,7 @@ GAME_IDS = [name for name, _, _ in GAMES]
 
 def _parallel(n_procs, combining_capacity):
     def solve(game, target):
-        config = ParallelConfig(
-            n_procs=n_procs,
-            combining_capacity=combining_capacity,
-            predecessor_mode="unmove-cached",
-        )
+        config = ParallelConfig(n_procs=n_procs, combining_capacity=combining_capacity)
         values, _ = ParallelSolver(game, config).solve(target)
         return values
 
