@@ -317,9 +317,9 @@ class AsyncProbeServer:
             )))
             await writer.drain()
             return
-        self._metrics.inc("requests")
-        self._metrics.inc(f"op.{frames.OP_NAMES[request.opcode]}")
         try:
+            self._metrics.inc("requests")
+            self._metrics.inc(f"op.{frames.OP_NAMES[request.opcode]}")
             response = self._dispatch(request)
         except Exception as exc:  # noqa: BLE001 — isolation: one bad
             # request answers an error frame, never kills the connection.

@@ -15,9 +15,7 @@ and is exactly the "no combining" baseline of the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = ["UPDATE_BYTES", "UpdatePacket", "CombiningBuffers", "CombiningStats"]
 
@@ -27,7 +25,8 @@ UPDATE_BYTES = 5
 
 @dataclass
 class UpdatePacket:
-    """A combined batch of updates for one destination.
+    """A combined batch of updates for one destination, as two lists of
+    Python ints.
 
     ``positions`` are local slots on the destination (the owner of each
     updated parent), so the receiver indexes its state without a
@@ -38,12 +37,12 @@ class UpdatePacket:
     ``repro.core.parallel.worker.pack_kind``.
     """
 
-    positions: np.ndarray
-    kinds: np.ndarray
+    positions: list
+    kinds: list
 
     @property
     def n_updates(self) -> int:
-        return int(self.positions.shape[0])
+        return len(self.positions)
 
     @property
     def size_bytes(self) -> int:
@@ -70,7 +69,7 @@ class CombiningBuffers:
     """Per-destination update buffers for one worker: a pair of Python
     lists (positions, kinds) per destination holds ``pending(d)``
     updates.  A simulated step buffers a handful of updates, so plain
-    lists fit it; a packet's arrays are built once, when it leaves."""
+    lists fit it, and a packet leaves as two list slices."""
 
     def __init__(self, n_dest: int, capacity: int):
         if capacity < 1:
@@ -98,14 +97,20 @@ class CombiningBuffers:
             raise ValueError("mismatched update batch arrays")
         self.stats.updates += n
         self.total_pending += n
+        cap, pos, kin = self.capacity, self._positions, self._kinds
+        # Every buffer holds fewer than ``cap`` updates between calls, so
+        # each destination that fills one passes ``cap`` exactly once.
+        full = []
         for dest, position, kind in zip(dests, positions, kinds):
-            self._positions[dest].append(position)
-            self._kinds[dest].append(kind)
+            buffered = pos[dest]
+            buffered.append(position)
+            kin[dest].append(kind)
+            if len(buffered) == cap:
+                full.append(dest)
         ready = []
-        for dest in sorted(set(dests)):
-            fill = len(self._positions[dest])
-            if fill >= self.capacity:
-                ready += self._pop(dest, fill - fill % self.capacity)
+        for dest in sorted(full):
+            fill = len(pos[dest])
+            ready += self._pop(dest, fill - fill % cap)
         self.stats.capacity_flushes += len(ready)
         return ready
 
@@ -114,13 +119,7 @@ class CombiningBuffers:
         ``capacity``; the rest stays buffered."""
         cap, pos, kin = self.capacity, self._positions[dest], self._kinds[dest]
         packets = [
-            (
-                dest,
-                UpdatePacket(
-                    positions=np.array(pos[a : a + cap], dtype=np.int64),
-                    kinds=np.array(kin[a : a + cap], dtype=np.uint8),
-                ),
-            )
+            (dest, UpdatePacket(positions=pos[a : a + cap], kinds=kin[a : a + cap]))
             for a in range(0, stop, cap)
         ]
         del pos[:stop], kin[:stop]

@@ -19,6 +19,12 @@ on request — for win/draw/loss games it equals the distance-to-win/loss
 in plies, and the parallel solver reuses the same round structure for
 its message traffic.
 
+The update step is one rule at two sizes: :func:`apply_updates` is
+vectorised for kernel rounds of 10⁴–10⁶ notifications, and
+:func:`apply_updates_scalar` applies the few updates of one simulated
+step with Python ints on memoryviews of the same state.  A test pins
+the two to each other.
+
 Predecessors are produced by a pluggable provider so the same kernel runs
 from a precomputed transposed graph (fast) or from on-the-fly unmove
 generation (the paper's memory-lean formulation); the two are
@@ -40,6 +46,7 @@ __all__ = [
     "RAProblem",
     "RAResult",
     "apply_updates",
+    "apply_updates_scalar",
     "seed_thresholds",
     "solve_kernel",
     "sort_runs",
@@ -148,6 +155,33 @@ def apply_updates(status, counts, loss_eligible, flat, win):
     new_loss = zeroed[(counts[zeroed] == 0) & (status[zeroed] == UNKNOWN)]
     new_loss = new_loss[loss_eligible[new_loss]]
     status[new_loss] = LOSS
+    return new_win, new_loss
+
+
+_UNKNOWN, _WIN, _LOSS = int(UNKNOWN), int(WIN), int(LOSS)
+
+
+def apply_updates_scalar(status, counts, loss_eligible, flat, win):
+    """:func:`apply_updates` for a handful of updates: the same rule on
+    memoryviews of the 1-D state, with ``flat`` and ``win`` sequences of
+    Python ints.  Counters wrap in their dtype as ``counts -= runs``
+    does.  Returns the sorted ``(new_win, new_loss)`` as lists."""
+    new_win = sorted({i for i, w in zip(flat, win) if w and status[i] == _UNKNOWN})
+    for i in new_win:
+        status[i] = _WIN
+    mask = (1 << 8 * counts.itemsize) - 1
+    zeroed = set()
+    for i, w in zip(flat, win):
+        if not w:
+            counts[i] = (counts[i] - 1) & mask
+            zeroed.add(i)
+    new_loss = sorted(
+        i
+        for i in zeroed
+        if counts[i] == 0 and status[i] == _UNKNOWN and loss_eligible[i]
+    )
+    for i in new_loss:
+        status[i] = _LOSS
     return new_win, new_loss
 
 

@@ -1,7 +1,7 @@
 """The paper's contribution: distributed RA on the simulated cluster."""
 
 from .driver import DatabaseRunStats, ParallelConfig, ParallelSolver
-from .worker import KIND_DEC, KIND_WIN, RAWorker, pack_kind, unpack_kind
+from .worker import KIND_DEC, KIND_WIN, RAWorker, pack_kind
 
 __all__ = [
     "ParallelConfig",
@@ -11,5 +11,4 @@ __all__ = [
     "KIND_DEC",
     "KIND_WIN",
     "pack_kind",
-    "unpack_kind",
 ]

@@ -23,11 +23,13 @@ the paper's algorithm:
    next stone count (the broadcast carries timing/bytes; the canonical
    value arrays are collected by the driver).
 
-The apply is the kernel's vectorized ``apply_updates``; a step's
-routing (usually one or two slots) runs on Python ints and lists.  CPU
-time is charged through the :class:`~repro.simnet.costs.CostModel` so
-the simulated clock reflects a 1995 C implementation rather than this
-Python one.
+A step runs on Python ints from start to end: its routing (usually one
+or two slots) reads lists, packets carry lists, and the apply is the
+kernel's :func:`~repro.core.kernel.apply_updates_scalar` on memoryviews
+of the worker's state — the vectorised kernel's rule at the size of a
+step (≈ 4 updates).  CPU time is charged through the
+:class:`~repro.simnet.costs.CostModel` so the simulated clock reflects a
+1995 C implementation rather than this Python one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from ...simnet.rts import Actor, Context, Message
 from ..combining import CombiningBuffers
 from ..graph import DatabaseGraph
-from ..kernel import apply_updates, seed_thresholds
+from ..kernel import apply_updates_scalar, seed_thresholds
 from ..partition import Partition
 from ..termination import SafraState, Token
 from ..values import LOSS, status_values
@@ -48,7 +50,7 @@ from ..values import LOSS, status_values
 if TYPE_CHECKING:
     from .driver import ParallelConfig
 
-__all__ = ["RAWorker", "KIND_DEC", "KIND_WIN", "pack_kind", "unpack_kind"]
+__all__ = ["RAWorker", "KIND_DEC", "KIND_WIN", "pack_kind"]
 
 #: Update kinds carried in packets.
 KIND_DEC = 0  # child became WIN: decrement the parent's counter
@@ -63,21 +65,16 @@ _PHASE_DONE = "done"
 _CTRL_BYTES = 16
 _EDGE_BYTES = 8
 
-#: ``LOSS`` as a Python int, for status bytes read with ``ndarray.item``.
+#: ``LOSS`` as a Python int, for status bytes read through a memoryview.
 _LOSS = int(LOSS)
 
 
 def pack_kind(threshold: np.ndarray, kind: np.ndarray) -> np.ndarray:
-    """Pack (threshold, kind) into the one-byte tag carried per update."""
+    """Pack (threshold, kind) into the one-byte tag carried per update;
+    a receiver reads ``tag >> 1`` and ``tag & 1``."""
     return (np.asarray(threshold, dtype=np.uint8) << np.uint8(1)) | np.asarray(
         kind, dtype=np.uint8
     )
-
-
-def unpack_kind(packed: np.ndarray):
-    """Inverse of :func:`pack_kind`: returns (threshold, kind)."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    return packed >> np.uint8(1), packed & np.uint8(1)
 
 
 class RAWorker(Actor):
@@ -156,10 +153,10 @@ class RAWorker(Actor):
         self._after_step(ctx)
 
     def on_message(self, ctx: Context, msg: Message) -> None:
-        handler = getattr(self, f"_msg_{msg.tag.lower()}", None)
+        handler = _HANDLERS.get(msg.tag)
         if handler is None:
             raise RuntimeError(f"rank {self.rank}: unknown message {msg.tag}")
-        handler(ctx, msg)
+        handler(self, ctx, msg)
         self._after_step(ctx)
 
     def on_timer(self, ctx: Context) -> None:
@@ -292,8 +289,9 @@ class RAWorker(Actor):
         self._token_outstanding = False
         state = seed_thresholds(self.best_exit, self.out_degree, range(1, self.bound + 1))
         self.status, self.counts, self.loss_eligible = state
-        self._flat_state = [a.reshape(-1) for a in state]
-        self._extend_frontier(np.flatnonzero(self.status))
+        # Indexing these views reads and writes the arrays as Python ints.
+        self._flat_state = [memoryview(a.reshape(-1)) for a in state]
+        self._extend_frontier(np.flatnonzero(self.status).tolist())
         ctx.charge(
             self.bound * self.n_local * self.config.costs.threshold_init_position
         )
@@ -369,7 +367,7 @@ class RAWorker(Actor):
             a, b = ptr[slot], ptr[slot + 1]
             owners += all_owners[a:b]
             parent_slots += all_slots[a:b]
-            wins += [status.item(base + slot) == _LOSS] * (b - a)
+            wins += [status[base + slot] == _LOSS] * (b - a)
         return owners, parent_slots, wins
 
     def _generate_cost(self) -> float:
@@ -404,29 +402,29 @@ class RAWorker(Actor):
                 positions.append(slot)
                 kinds.append(tag | win)
         if local:
-            self._apply_updates(
-                ctx, np.array(local, dtype=np.int64), np.array(local_win, dtype=bool)
-            )
+            self._apply_updates(ctx, local, local_win)
             ctx.stats.bump("updates_local", len(local))
         if dests:
             self._send_packets(ctx, self.buffers.append(dests, positions, kinds))
 
-    def _apply_updates(self, ctx: Context, flat: np.ndarray, win: np.ndarray):
+    def _apply_updates(self, ctx: Context, flat: list, win: list):
         """Apply updates at ``flat = (threshold - 1) * n_local + slot``
-        (``win``: from a LOSS child) in one pass over all their thresholds
-        with the kernel's :func:`~repro.core.kernel.apply_updates`."""
-        ctx.charge(flat.shape[0] * self.config.costs.update_apply)
-        ctx.stats.bump("updates_applied", int(flat.shape[0]))
-        new_win, new_loss = apply_updates(*self._flat_state, flat, win)
-        if new_win.shape[0] or new_loss.shape[0]:
+        (``win``: from a LOSS child), lists of Python ints, in one pass
+        over all their thresholds with the kernel's
+        :func:`~repro.core.kernel.apply_updates_scalar`."""
+        ctx.charge(len(flat) * self.config.costs.update_apply)
+        ctx.stats.bump("updates_applied", len(flat))
+        new_win, new_loss = apply_updates_scalar(*self._flat_state, flat, win)
+        if new_win or new_loss:
             self._extend_frontier(new_win, new_loss)
 
-    def _extend_frontier(self, *done: np.ndarray):
-        """Queue sorted flat indices by threshold, ascending; within a
-        threshold, the arrays in argument order (WINs before LOSSes)."""
+    def _extend_frontier(self, *done: list):
+        """Queue sorted lists of flat indices by threshold, ascending;
+        within a threshold, the lists in argument order (WINs before
+        LOSSes)."""
         batches: dict = {}
         for i, d in enumerate(done):
-            for flat in d.tolist():
+            for flat in d:
                 row, slot = divmod(flat, self.n_local)
                 batches.setdefault((row, i), []).append(slot)
         for row, i in sorted(batches):
@@ -441,9 +439,10 @@ class RAWorker(Actor):
 
     def _msg_update(self, ctx: Context, msg: Message) -> None:
         self.safra.on_app_receive()
-        thresholds, kinds = unpack_kind(msg.payload.kinds)
-        flat = msg.payload.positions + (thresholds.astype(np.int64) - 1) * self.n_local
-        self._apply_updates(ctx, flat, kinds == KIND_WIN)
+        n, kinds = self.n_local, msg.payload.kinds
+        # A tag is ``threshold << 1 | kind``; threshold t is row t - 1.
+        flat = [p + ((k >> 1) - 1) * n for p, k in zip(msg.payload.positions, kinds)]
+        self._apply_updates(ctx, flat, [k & 1 for k in kinds])
 
     # --------------------------------------------------------- termination
 
@@ -500,3 +499,11 @@ class RAWorker(Actor):
                 (rev.indptr[self.own_global + 1] - rev.indptr[self.own_global]).sum()
             )
         return per_pos + edges + self.lower_values_bytes
+
+
+#: Message tag -> handler: ``TAG`` is served by ``RAWorker._msg_tag``.
+_HANDLERS = {
+    name[len("_msg_"):].upper(): handler
+    for name, handler in vars(RAWorker).items()
+    if name.startswith("_msg_")
+}

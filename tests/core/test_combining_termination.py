@@ -37,12 +37,14 @@ class TestCombiningBuffers:
 
     def test_order_preserved_per_destination(self):
         buf = CombiningBuffers(n_dest=2, capacity=100)
-        buf.append(np.array([1, 1]), np.array([5, 7]), np.array([0, 1], dtype=np.uint8))
-        buf.append(np.array([1]), np.array([9]), np.array([0], dtype=np.uint8))
+        buf.append([1, 1], [5, 7], [0, 1])
+        buf.append([1], [9], [0])
         ready = buf.flush_all()
         (dest, packet), = ready
-        assert packet.positions.tolist() == [5, 7, 9]
-        assert packet.kinds.tolist() == [0, 1, 0]
+        assert dest == 1
+        assert packet.positions == [5, 7, 9]
+        assert packet.kinds == [0, 1, 0]
+        assert all(type(x) is int for x in packet.positions + packet.kinds)
 
     def test_oversize_batch_splits_into_multiple_packets(self):
         buf = CombiningBuffers(n_dest=2, capacity=10)
@@ -111,19 +113,19 @@ class TestCombiningBuffers:
             positions = np.arange(sent, sent + dests.shape[0], dtype=np.int64)
             kinds = (positions * 7 % 5).astype(np.uint8)
             sent += dests.shape[0]
-            got += buf.append(dests, positions, kinds)
+            # The worker appends lists of Python ints; so does this test.
+            got += buf.append(dests.tolist(), positions.tolist(), kinds.tolist())
             want += model.append(dests, positions, kinds)
             assert buf.total_pending == sum(model.counts)
-        assert [
-            (d, p.positions.tolist(), p.kinds.tolist(), p.positions.dtype, p.kinds.dtype)
-            for d, p in got
-        ] == [
-            (d, p.positions.tolist(), p.kinds.tolist(), p.positions.dtype, p.kinds.dtype)
-            for d, p in want
+        assert [(d, p.positions, p.kinds) for d, p in got] == [
+            (d, p.positions.tolist(), p.kinds.tolist()) for d, p in want
         ]
+        assert all(
+            type(x) is int for _, p in got for x in p.positions + p.kinds
+        )
         assert buf.stats == model.stats
         assert buf.total_pending == 0
-        assert sorted(u for _, p in got for u in p.positions.tolist()) == list(range(sent))
+        assert sorted(u for _, p in got for u in p.positions) == list(range(sent))
 
     def test_huge_capacity_allocates_only_what_is_buffered(self):
         tracemalloc.start()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core.graph import CSR, build_database_graph
 from repro.core.kernel import (
     RAProblem,
+    apply_updates,
+    apply_updates_scalar,
     csr_provider,
     seed_thresholds,
     solve_kernel,
@@ -350,6 +352,59 @@ class TestMultigraphRounds:
         assert result.status.tolist() == [LOSS, WIN, WIN, UNKNOWN]
         assert result.depth.tolist() == [0, 1, 0, -1]
         assert result.parent_notifications == 6 and result.round_sizes == [2, 1]
+
+
+class TestScalarApply:
+    """The worker's per-step ``apply_updates_scalar`` on memoryviews and
+    the kernel's vectorised ``apply_updates`` on arrays are one rule."""
+
+    @given(
+        data=st.data(),
+        size=st.integers(1, 12),
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_vectorised_apply(self, data, size, dtype):
+        """Duplicate parents, WIN and DEC on one slot, parents already
+        final and batches that overdraw a counter (which wraps in the
+        counts dtype) leave identical state and identical outputs."""
+        def column(elements):
+            return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+        top = int(np.iinfo(dtype).max)
+        status = np.array(column(st.sampled_from([UNKNOWN, UNKNOWN, WIN, LOSS])),
+                          dtype=np.uint8)
+        counts = np.array(
+            column(st.one_of(st.integers(0, 3), st.integers(top - 1, top))), dtype=dtype
+        )
+        eligible = np.array(column(st.booleans()), dtype=bool)
+        # Up to 2 WIN and 4 DEC updates per slot, in any order: duplicate
+        # parents, WIN + DEC on one slot and overdrawn counters are common.
+        n_win, n_dec = column(st.integers(0, 2)), column(st.integers(0, 4))
+        updates = data.draw(st.permutations(
+            [(i, True) for i in range(size) for _ in range(n_win[i])]
+            + [(i, False) for i in range(size) for _ in range(n_dec[i])]
+        ))
+        flat = [i for i, _ in updates]
+        win = [w for _, w in updates]
+        # Packets decode their kinds as 0/1 ints, local updates as bools.
+        scalar_win = win if data.draw(st.booleans()) else [int(w) for w in win]
+
+        vec = [a.copy() for a in (status, counts, eligible)]
+        vec_win, vec_loss = apply_updates(
+            *vec, np.array(flat, dtype=np.int64), np.array(win, dtype=bool)
+        )
+        scal = [a.copy() for a in (status, counts, eligible)]
+        new_win, new_loss = apply_updates_scalar(
+            *(memoryview(a) for a in scal), flat, scalar_win
+        )
+
+        assert new_win == vec_win.tolist()
+        assert new_loss == vec_loss.tolist()
+        assert all(type(i) is int for i in new_win + new_loss)
+        for got, want in zip(scal, vec):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestUnmoveProviderOnAwari:

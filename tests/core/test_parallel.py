@@ -6,15 +6,20 @@ partition, combining capacity, predecessor mode and cost model — the
 simulation may change *when* things happen but never *what* is computed.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.combining import UpdatePacket
 from repro.core.parallel.driver import ParallelConfig, ParallelSolver
-from repro.core.parallel.worker import KIND_DEC, KIND_WIN, pack_kind, unpack_kind
+from repro.core.parallel.worker import KIND_DEC, KIND_WIN, RAWorker, pack_kind
 from repro.core.sequential import SequentialSolver
+from repro.core.termination import SafraState
 from repro.games.awari_db import AwariCaptureGame
 from repro.simnet.costs import CostModel
 from repro.simnet.ethernet import EthernetConfig
+from repro.simnet.rts import Message
 
 MAX_EVENTS = 5_000_000
 
@@ -39,11 +44,26 @@ def assert_matches(par_values, seq_values, upto):
 
 class TestPackedKinds:
     def test_roundtrip(self):
+        """A receiver decodes each ``pack_kind`` tag back into its
+        threshold (row ``t - 1`` of the flat state) and its kind."""
         t = np.array([1, 13, 48], dtype=np.uint8)
         k = np.array([KIND_DEC, KIND_WIN, KIND_DEC], dtype=np.uint8)
-        tt, kk = unpack_kind(pack_kind(t, k))
-        np.testing.assert_array_equal(tt, t)
-        np.testing.assert_array_equal(kk, k)
+        slots, n_local = [4, 0, 9], 10
+        applied = []
+        receiver = SimpleNamespace(
+            n_local=n_local,
+            safra=SafraState(0, 2),
+            _apply_updates=lambda ctx, flat, win: applied.append((flat, win)),
+        )
+        packet = UpdatePacket(positions=slots, kinds=pack_kind(t, k).tolist())
+        RAWorker._msg_update(
+            receiver, None, Message(1, 0, "UPDATE", packet, packet.size_bytes)
+        )
+        (flat, win), = applied
+        assert [divmod(f, n_local) for f in flat] == [
+            (tt - 1, s) for tt, s in zip(t.tolist(), slots)
+        ]
+        assert win == k.tolist()
 
 
 class TestEquivalence:

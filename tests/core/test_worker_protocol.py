@@ -244,7 +244,10 @@ class TestFlatApply:
             thresholds, slots, kinds = (
                 np.asarray(batch, dtype=np.int64).reshape(-1, 3).T.copy()
             )
-            packet = UpdatePacket(positions=slots, kinds=pack_kind(thresholds, kinds))
+            # Packets carry lists of Python ints, as the buffers ship them.
+            packet = UpdatePacket(
+                positions=slots.tolist(), kinds=pack_kind(thresholds, kinds).tolist()
+            )
             worker._msg_update(ctx, Message(1, 0, "UPDATE", packet, packet.size_bytes))
             _reference_apply(
                 ref_status, ref_counts, worker.best_exit, ref_frontier,

@@ -203,6 +203,49 @@ class TestErrors:
         assert client.probe(5, 0) == int(dbs[5][0])
 
 
+    def test_failing_request_counter_answers_an_error_frame(self, awari_solved):
+        """A counter that raises while the server counts a request (a
+        metric name the catalog lacks raises ``ValueError``) is that
+        request's error, on its sequence id; the connection stays up."""
+        _, dbs = awari_solved
+        service = ProbeService.from_database_set(dbs)
+        server = AsyncProbeServer(service, metrics=_FailingOpCounter("op.probe"))
+        server.start()
+        try:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5) as sock:
+                answer = _ask_on(sock, frames.encode_probe(7, 5, 0))
+                assert answer.seq == 7
+                assert "ValueError" in answer.error and "op.probe" in answer.error
+                pong = _ask_on(sock, frames.encode_ping(8))
+                assert pong.seq == 8 and pong.error is None
+        finally:
+            server.shutdown()
+            service.close()
+
+
+class _FailingOpCounter:
+    """A metrics stub whose counter ``bad`` raises as an undeclared
+    metric name does; every other counter counts."""
+
+    def __init__(self, bad: str):
+        self.bad, self.counters = bad, {}
+
+    def inc(self, name: str, n: int = 1) -> None:
+        if name == self.bad:
+            raise ValueError(f"metric name {name!r} is not in the catalog")
+        self.counters[name] = self.counters.get(name, 0) + n
+
+
+def _ask_on(sock, payload: bytes) -> frames.Response:
+    """One binary frame round trip on an open connection."""
+    sock.sendall(frames.pack_frame(payload))
+    head = sock.recv(4, socket.MSG_WAITALL)
+    return frames.decode_response(
+        sock.recv(int.from_bytes(head, "big"), socket.MSG_WAITALL)
+    )
+
+
 class TestProtocolFraming:
     def test_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
