@@ -23,10 +23,8 @@ def _run(bench):
     return t_seq, combining, naive
 
 
-def test_fig1_speedup_curves(bench, results_dir, benchmark):
-    t_seq, combining, naive = benchmark.pedantic(
-        _run, args=(bench,), rounds=1, iterations=1
-    )
+def test_fig1_speedup_curves(bench):
+    t_seq, combining, naive = _run(bench)
 
     table = Table(
         f"Figure 1 — speedup vs processors ({SWEEP_STONES}-stone database, "
@@ -56,7 +54,7 @@ def test_fig1_speedup_curves(bench, results_dir, benchmark):
             ),
         ]
     )
-    publish(results_dir, "fig1_speedup", text)
+    publish("fig1_speedup", text)
 
     # Shape assertions — the paper's qualitative claims.
     # 1. Combining always wins beyond one processor.

@@ -28,8 +28,8 @@ def _run(bench):
     }
 
 
-def test_fig2_memory_distribution(bench, results_dir, benchmark):
-    runs = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_fig2_memory_distribution(bench):
+    runs = _run(bench)
 
     table = Table(
         f"Figure 2 — measured per-node memory, {HEADLINE_STONES}-stone "
@@ -87,7 +87,7 @@ def test_fig2_memory_distribution(bench, results_dir, benchmark):
             "MB/node",
         )
     )
-    publish(results_dir, "fig2_memory", "\n".join(lines))
+    publish("fig2_memory", "\n".join(lines))
 
     # The distributed construction state must scale down as 1/P; the
     # replicated smaller databases are the only non-scaling term.

@@ -23,10 +23,8 @@ def _run(bench):
     return util_on, util_off
 
 
-def test_fig3_network_utilization(bench, results_dir, benchmark):
-    util_on, util_off = benchmark.pedantic(
-        _run, args=(bench,), rounds=1, iterations=1
-    )
+def test_fig3_network_utilization(bench):
+    util_on, util_off = _run(bench)
 
     table = Table(
         f"Figure 3 — shared-Ethernet utilization ({SWEEP_STONES}-stone database)",
@@ -49,7 +47,7 @@ def test_fig3_network_utilization(bench, results_dir, benchmark):
             ),
         ]
     )
-    publish(results_dir, "fig3_network", text)
+    publish("fig3_network", text)
 
     # Utilization grows with P in both variants ...
     assert util_on[-1] > util_on[0]

@@ -26,8 +26,8 @@ def _base(bench) -> ModelInput:
     )
 
 
-def test_table10_scaling_limits(bench, results_dir, benchmark):
-    base = benchmark.pedantic(_base, args=(bench,), rounds=1, iterations=1)
+def test_table10_scaling_limits(bench):
+    base = _base(bench)
 
     points, limit = strong_scaling_limit(base, efficiency_floor=0.5)
     strong = Table(
@@ -61,7 +61,7 @@ def test_table10_scaling_limits(bench, results_dir, benchmark):
             "right where the isoefficiency curve says they pay off.",
         ]
     )
-    publish(results_dir, "table10_scaling", text)
+    publish("table10_scaling", text)
 
     # Efficiency decreases monotonically with P for a fixed workload.
     effs = [pt.efficiency for pt in points]

@@ -18,8 +18,8 @@ def _build(bench):
     return values, report
 
 
-def test_table1_database_statistics(bench, results_dir, benchmark):
-    values, report = benchmark.pedantic(_build, args=(bench,), rounds=1, iterations=1)
+def test_table1_database_statistics(bench):
+    values, report = _build(bench)
 
     table = Table(
         "Table 1 — awari endgame databases (win/draw/loss for the mover)",
@@ -43,7 +43,7 @@ def test_table1_database_statistics(bench, results_dir, benchmark):
     # Paper-scale context rows (sizes only; values need the full solve).
     for n in (10, 13):
         table.add(n, f"{AwariIndexer(n).count:,}", "-", "-", "-", "-", "-")
-    publish(results_dir, "table1_db_stats", table.render())
+    publish("table1_db_stats", table.render())
 
     # Shape assertions: databases grow by the known combinatorial factor
     # and every database is fully classified.

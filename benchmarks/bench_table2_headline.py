@@ -34,8 +34,8 @@ def _run(bench):
     return rows
 
 
-def test_table2_headline(bench, results_dir, benchmark):
-    rows = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table2_headline(bench):
+    rows = _run(bench)
 
     table = Table(
         f"Table 2 — headline runtimes, awari {HEADLINE_STONES}-stone database "
@@ -93,7 +93,7 @@ def test_table2_headline(bench, results_dir, benchmark):
         f"  model uniprocessor mem: {second['memory_mbytes_model']:.0f} MB "
         f"(paper: > {PAPER_SECOND_HEADLINE['memory_wall_mbytes']:.0f} MB)",
     ]
-    publish(results_dir, "table2_headline", "\n".join(lines))
+    publish("table2_headline", "\n".join(lines))
 
     # Shape assertions: near-linear at small P, strong speedup at 64.
     assert speedups[4] > 3.0

@@ -21,8 +21,8 @@ def _run(bench):
     }
 
 
-def test_table3_message_statistics(bench, results_dir, benchmark):
-    runs = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table3_message_statistics(bench):
+    runs = _run(bench)
 
     table = Table(
         f"Table 3 — communication statistics ({SWEEP_STONES}-stone database)",
@@ -49,7 +49,7 @@ def test_table3_message_statistics(bench, results_dir, benchmark):
             f"{s.ethernet_frames:,}",
             f"{s.control_messages:,}",
         )
-    publish(results_dir, "table3_messages", table.render())
+    publish("table3_messages", table.render())
 
     for procs in (8, 32):
         on, off = runs[(procs, 256)], runs[(procs, 1)]

@@ -23,8 +23,8 @@ def _run(bench):
     }
 
 
-def test_table4_buffer_capacity_sweep(bench, results_dir, benchmark):
-    runs = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table4_buffer_capacity_sweep(bench):
+    runs = _run(bench)
 
     t_seq = bench.t_seq(SWEEP_STONES)
     table = Table(
@@ -41,7 +41,7 @@ def test_table4_buffer_capacity_sweep(bench, results_dir, benchmark):
             f"{s.combining_factor:.1f}",
             f"{s.ethernet_utilization:.2f}",
         )
-    publish(results_dir, "table4_buffer_sweep", table.render())
+    publish("table4_buffer_sweep", table.render())
 
     times = {cap: s.makespan_seconds for cap, s in runs.items()}
     # Clear improvement from naive to the knee ...

@@ -36,8 +36,8 @@ def _run(bench):
     return rows
 
 
-def test_table5_model_validation(bench, results_dir, benchmark):
-    rows = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table5_model_validation(bench):
+    rows = _run(bench)
 
     table = Table(
         f"Table 5 — analytic model vs simulation ({SWEEP_STONES}-stone database)",
@@ -54,7 +54,7 @@ def test_table5_model_validation(bench, results_dir, benchmark):
             format_seconds(measured.makespan_seconds),
             f"{ratio:.2f}",
         )
-    publish(results_dir, "table5_model", table.render())
+    publish("table5_model", table.render())
 
     # The wave-aware closed form tracks the discrete-event measurement
     # closely across a decade of processor counts and both combining

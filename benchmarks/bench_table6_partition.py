@@ -22,8 +22,8 @@ def _run(bench):
     }
 
 
-def test_table6_partition_ablation(bench, results_dir, benchmark):
-    runs = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table6_partition_ablation(bench):
+    runs = _run(bench)
 
     t_seq = bench.t_seq(SWEEP_STONES)
     table = Table(
@@ -39,7 +39,7 @@ def test_table6_partition_ablation(bench, results_dir, benchmark):
             f"{s.load_imbalance:.2f}",
             f"{s.packets_sent:,}",
         )
-    publish(results_dir, "table6_partition", table.render())
+    publish("table6_partition", table.render())
 
     # Scattering partitions balance CPU time better than block.
     assert runs["cyclic"].load_imbalance <= runs["block"].load_imbalance + 0.02

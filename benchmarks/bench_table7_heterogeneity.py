@@ -35,8 +35,8 @@ def _run(bench):
     return out
 
 
-def test_table7_heterogeneous_pool(bench, results_dir, benchmark):
-    runs = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table7_heterogeneous_pool(bench):
+    runs = _run(bench)
 
     t_seq = bench.t_seq(SWEEP_STONES)
     table = Table(
@@ -51,7 +51,7 @@ def test_table7_heterogeneous_pool(bench, results_dir, benchmark):
             f"{t_seq / s.makespan_seconds:.1f}",
             f"{s.load_imbalance:.2f}",
         )
-    publish(results_dir, "table7_heterogeneity", table.render())
+    publish("table7_heterogeneity", table.render())
 
     # The static partition pays for stragglers.
     assert (

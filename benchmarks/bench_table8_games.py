@@ -47,8 +47,8 @@ def _run(bench):
     return rows
 
 
-def test_table8_game_generality(bench, results_dir, benchmark):
-    rows = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table8_game_generality(bench):
+    rows = _run(bench)
 
     table = Table(
         f"Table 8 — one distributed solver, three games (P = {PROCS})",
@@ -65,7 +65,7 @@ def test_table8_game_generality(bench, results_dir, benchmark):
             f"{remote:.0f}",
             f"{s.combining_factor:.1f}",
         )
-    publish(results_dir, "table8_games", table.render())
+    publish("table8_games", table.render())
 
     stats = {name: s for name, s, _ in rows}
     awari, kalah = stats["awari-7"], stats[f"kalah-{KALAH_STONES}"]

@@ -26,8 +26,8 @@ def _run(bench):
     }
 
 
-def test_table9_linger_sweep(bench, results_dir, benchmark):
-    runs = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+def test_table9_linger_sweep(bench):
+    runs = _run(bench)
 
     t_seq = bench.t_seq(SWEEP_STONES)
     table = Table(
@@ -43,7 +43,7 @@ def test_table9_linger_sweep(bench, results_dir, benchmark):
             f"{s.packets_sent:,}",
             f"{s.combining_factor:.1f}",
         )
-    publish(results_dir, "table9_linger", table.render())
+    publish("table9_linger", table.render())
 
     # With the single-pass propagation the buffers stay busy on their
     # own, so performance is robust across 0-20 ms (the linger mostly

@@ -1,15 +1,18 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper's exhibits.
 
 The heavy ingredients — the sequential solve and the simulated parallel
-runs — are memoized per session so benchmarks that share a configuration
+runs — are memoized per session so exhibits that share a configuration
 (e.g. Figure 1 and Figure 3 both sweep processor counts) pay for it once.
-Every benchmark writes its rendered table/series to
-``benchmarks/results/<name>.txt`` in addition to stdout, so the output
-survives pytest's capture.
+
+Every exhibit is a pure function of the code, and its committed
+``benchmarks/results/<name>.txt`` is its golden: :func:`publish` rewrites
+the file and fails the test, with a unified diff, if the text changed.
+A change that was meant reruns the suite and commits the new files.
 """
 
 from __future__ import annotations
 
+import difflib
 from pathlib import Path
 
 import numpy as np
@@ -83,14 +86,20 @@ def bench() -> Workbench:
     return Workbench()
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-def publish(results_dir: Path, name: str, text: str) -> None:
-    """Print a rendered exhibit and persist it under results/."""
+def publish(name: str, text: str) -> None:
+    """Print a rendered exhibit, write it to results/<name>.txt and fail
+    if the text differs from what that file held."""
     print()
     print(text)
-    (results_dir / f"{name}.txt").write_text(text + "\n")
+    path = RESULTS_DIR / f"{name}.txt"
+    new = text + "\n"
+    old = path.read_text() if path.exists() else ""
+    path.write_text(new)
+    if new != old:
+        diff = difflib.unified_diff(
+            old.splitlines(keepends=True),
+            new.splitlines(keepends=True),
+            f"committed results/{name}.txt",
+            f"rendered {name}",
+        )
+        pytest.fail(f"exhibit {name} changed:\n{''.join(diff)}", pytrace=False)

@@ -8,7 +8,7 @@ The abstract gives three absolute anchors:
   uniprocessor.
 
 :data:`CLUSTER_1995` fixes the hardware constants (10 Mbit/s shared
-Ethernet, ~20 MIPS workstations, millisecond-class message software
+Ethernet, ~5 MIPS MC68030-class nodes, millisecond-class message software
 overhead — see :mod:`repro.simnet.costs` for the per-operation
 derivations).  The functions here convert measured operation counts into
 simulated seconds with those constants and extrapolate small-database

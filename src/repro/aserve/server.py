@@ -24,6 +24,7 @@ closes every connection, and joins the loop.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import threading
 
@@ -174,37 +175,36 @@ class AsyncProbeServer:
     # ---------------------------------------------------------- connections
 
     async def _serve_connection(self, reader, writer) -> None:
-        self._metrics.inc("connections")
-        if self._drop is not None and self._drop.drop_on_accept():
-            # Injected fault: sever this connection before serving it.
-            self._metrics.inc("faults.connections_dropped")
-            writer.close()
-            return
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # asyncio does not set NODELAY on sockets accepted from a
-            # pre-bound listener; without it Nagle holds the second of
-            # two small responses until the client's delayed ACK
-            # (~40ms), destroying pipelined throughput.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if (self._max_connections is not None
-                and len(self._writers) >= self._max_connections):
-            self._metrics.inc("connections_rejected")
-            try:
+        task = asyncio.current_task()
+        try:
+            self._metrics.inc("connections")
+            if self._drop is not None and self._drop.drop_on_accept():
+                # Injected fault: sever this connection before serving it.
+                self._metrics.inc("faults.connections_dropped")
+                return
+            sock = writer.get_extra_info("socket")
+            if sock is not None:
+                # asyncio does not set NODELAY on sockets accepted from a
+                # pre-bound listener; without it Nagle holds the second of
+                # two small responses until the client's delayed ACK
+                # (~40ms), destroying pipelined throughput.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if (self._max_connections is not None
+                    and len(self._writers) >= self._max_connections):
+                self._metrics.inc("connections_rejected")
                 await self._refuse(writer, "server at capacity "
                                    f"({self._max_connections} connections)")
-            except (ConnectionError, OSError):
-                self._metrics.inc("client_disconnects")
-            writer.close()
-            return
-        task = asyncio.current_task()
-        self._writers.add(writer)
-        self._tasks.add(task)
-        try:
+                return
+            self._writers.add(writer)
+            self._tasks.add(task)
             await self._connection_loop(reader, writer)
-        except Exception:  # noqa: BLE001 — a connection handler must
-            # never take down the event loop; the failure is counted and
-            # only this connection is dropped.
+        except (ConnectionError, OSError):
+            self._metrics.inc("client_disconnects")
+        except Exception as exc:  # noqa: BLE001 — a connection handler must
+            # never take down the event loop: the failure is refused on
+            # sequence id 0, counted, and only this connection is dropped.
+            with contextlib.suppress(ConnectionError, OSError):
+                await self._refuse(writer, f"{type(exc).__name__}: {exc}")
             self._metrics.inc("errors")
         finally:
             self._writers.discard(writer)
@@ -269,17 +269,11 @@ class AsyncProbeServer:
             return True
         if self._max_inflight is not None \
                 and self._inflight >= self._max_inflight:
-            self._metrics.inc("overloads")
             await self._shed(payload, writer)
+            self._metrics.inc("overloads")
             return True
         self._inflight += 1
         try:
-            if self._latency is not None:
-                delay = self._latency.delay_seconds()
-                if delay:
-                    self._metrics.inc("faults.latency_injected")
-                    await asyncio.sleep(delay)
-            self._metrics.inc("frames_binary")
             await self._answer_binary(payload, writer)
         finally:
             self._inflight -= 1
@@ -305,27 +299,31 @@ class AsyncProbeServer:
 
     async def _answer_binary(self, payload: bytes, writer) -> None:
         try:
+            if self._latency is not None:
+                delay = self._latency.delay_seconds()
+                if delay:
+                    self._metrics.inc("faults.latency_injected")
+                    await asyncio.sleep(delay)
+            self._metrics.inc("frames_binary")
             request = frames.decode_request(payload)
+            self._metrics.inc("requests")
+            self._metrics.inc(f"op.{frames.OP_NAMES[request.opcode]}")
+            response = self._dispatch(request)
         except frames.FrameError as exc:
             # The length prefix already delimited this frame, so the
             # stream is still in sync: answer an error frame and keep
             # the connection.
             self._metrics.inc("errors")
-            writer.write(frames.pack_frame(frames.encode_error(
+            response = frames.encode_error(
                 frames.peek_seq(payload), frames.peek_opcode(payload),
                 str(exc),
-            )))
-            await writer.drain()
-            return
-        try:
-            self._metrics.inc("requests")
-            self._metrics.inc(f"op.{frames.OP_NAMES[request.opcode]}")
-            response = self._dispatch(request)
+            )
         except Exception as exc:  # noqa: BLE001 — isolation: one bad
             # request answers an error frame, never kills the connection.
             self._metrics.inc("errors")
             response = frames.encode_error(
-                request.seq, request.opcode, f"{type(exc).__name__}: {exc}"
+                frames.peek_seq(payload), frames.peek_opcode(payload),
+                f"{type(exc).__name__}: {exc}",
             )
         writer.write(frames.pack_frame(response))
         await writer.drain()

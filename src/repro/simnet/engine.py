@@ -2,7 +2,7 @@
 
 Events are ordered by ``(time, sequence_number)`` so runs are exactly
 reproducible: ties break in scheduling order.  The engine knows nothing
-about processors or networks — those live in :mod:`repro.simnet.machine`
+about processors or networks — those live in :mod:`repro.simnet.rts`
 and :mod:`repro.simnet.ethernet` and schedule plain callbacks here.
 """
 

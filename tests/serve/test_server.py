@@ -5,6 +5,7 @@ client is the pipelined :class:`~repro.aserve.client.BinaryProbeClient`,
 and malformed requests go out as raw binary frames.
 """
 
+import contextlib
 import socket
 import threading
 
@@ -20,6 +21,7 @@ from repro.aserve.client import (
 from repro.aserve.server import AsyncProbeServer
 from repro.db.query import best_moves, optimal_line
 from repro.obs import MetricsRegistry
+from repro.resilience import FaultPlan
 from repro.serve.client import ProbeError
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
@@ -203,36 +205,91 @@ class TestErrors:
         assert client.probe(5, 0) == int(dbs[5][0])
 
 
-    def test_failing_request_counter_answers_an_error_frame(self, awari_solved):
+    @pytest.mark.parametrize("bad, fault", [
+        ("op.probe", None), ("requests", None), ("frames_binary", None),
+        ("faults.latency_injected", "latency:ms=1"),
+    ])
+    def test_failing_request_counter_answers_an_error_frame(
+        self, awari_solved, bad, fault
+    ):
         """A counter that raises while the server counts a request (a
         metric name the catalog lacks raises ``ValueError``) is that
-        request's error, on its sequence id; the connection stays up."""
-        _, dbs = awari_solved
-        service = ProbeService.from_database_set(dbs)
-        server = AsyncProbeServer(service, metrics=_FailingOpCounter("op.probe"))
-        server.start()
-        try:
-            with socket.create_connection((server.host, server.port),
-                                          timeout=5) as sock:
-                answer = _ask_on(sock, frames.encode_probe(7, 5, 0))
-                assert answer.seq == 7
-                assert "ValueError" in answer.error and "op.probe" in answer.error
-                pong = _ask_on(sock, frames.encode_ping(8))
-                assert pong.seq == 8 and pong.error is None
-        finally:
-            server.shutdown()
-            service.close()
+        request's error, on its sequence id; the connection stays up and
+        answers the next request normally."""
+        with _connected_with_failing(awari_solved, bad, fault) as sock:
+            answer = _ask_on(sock, frames.encode_probe(7, 5, 0))
+            assert answer.seq == 7
+            assert "ValueError" in answer.error and bad in answer.error
+            pong = _ask_on(sock, frames.encode_ping(8))
+            assert pong.seq == 8 and pong.error is None
+
+    def test_failing_overload_counter_still_sheds_on_the_request_seq(
+        self, awari_solved
+    ):
+        """A raising ``overloads`` counter still answers the shed
+        request on its own sequence id, then refuses the connection on
+        sequence id 0 with the counter's error."""
+        with _connected_with_failing(awari_solved, "overloads",
+                                     max_inflight=0) as sock:
+            shed = _ask_on(sock, frames.encode_probe(7, 5, 0))
+            assert shed.seq == 7 and shed.overloaded
+            refusal = _recv_on(sock)
+            assert refusal.seq == 0 and "overloads" in refusal.error
+            assert sock.recv(1) == b""
+
+    def test_failing_blackhole_counter_refuses_on_seq_0(self, awari_solved):
+        """A swallowed request is never answered on its own sequence id,
+        so a raising ``faults.requests_blackholed`` counter ends the
+        connection in the refusal frame on sequence id 0."""
+        with _connected_with_failing(awari_solved, "faults.requests_blackholed",
+                                     "blackhole:after=0") as sock:
+            sock.sendall(frames.pack_frame(frames.encode_probe(7, 5, 0)))
+            refusal = _recv_on(sock)
+            assert refusal.seq == 0
+            assert "faults.requests_blackholed" in refusal.error
+            assert sock.recv(1) == b""
+
+    def test_failing_connection_counter_refuses_and_closes(self, awari_solved):
+        """A raising ``connections`` counter ends the connection in the
+        refusal frame on sequence id 0, and the server closes it."""
+        with _connected_with_failing(awari_solved, "connections") as sock:
+            refusal = _recv_on(sock)
+            assert refusal.seq == 0
+            assert "ValueError" in refusal.error
+            assert "connections" in refusal.error
+            assert sock.recv(1) == b""
+
+
+@contextlib.contextmanager
+def _connected_with_failing(awari_solved, bad: str, fault: str | None = None,
+                            **server_kwargs):
+    """A connection to a fresh server whose counter ``bad`` raises once,
+    with the injected ``fault`` spec if one is given."""
+    _, dbs = awari_solved
+    service = ProbeService.from_database_set(dbs)
+    faults = None if fault is None else FaultPlan.from_specs([fault])
+    server = AsyncProbeServer(service, metrics=_FailingOpCounter(bad),
+                              faults=faults, **server_kwargs).start()
+    try:
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            yield sock
+    finally:
+        server.shutdown()
+        service.close()
 
 
 class _FailingOpCounter:
-    """A metrics stub whose counter ``bad`` raises as an undeclared
-    metric name does; every other counter counts."""
+    """A metrics stub whose counter ``bad`` raises the first time it is
+    counted, as an undeclared metric name does; every other counter
+    counts."""
 
     def __init__(self, bad: str):
         self.bad, self.counters = bad, {}
 
     def inc(self, name: str, n: int = 1) -> None:
-        if name == self.bad:
+        if name == self.bad and name not in self.counters:
+            self.counters[name] = 0
             raise ValueError(f"metric name {name!r} is not in the catalog")
         self.counters[name] = self.counters.get(name, 0) + n
 
@@ -240,6 +297,11 @@ class _FailingOpCounter:
 def _ask_on(sock, payload: bytes) -> frames.Response:
     """One binary frame round trip on an open connection."""
     sock.sendall(frames.pack_frame(payload))
+    return _recv_on(sock)
+
+
+def _recv_on(sock) -> frames.Response:
+    """The next response frame on an open connection."""
     head = sock.recv(4, socket.MSG_WAITALL)
     return frames.decode_response(
         sock.recv(int.from_bytes(head, "big"), socket.MSG_WAITALL)
